@@ -22,6 +22,7 @@
 #include "cluster/trace.hpp"
 #include "comm/comm.hpp"
 #include "gcm/model.hpp"
+#include "gcm/tile_ckpt.hpp"
 #include "net/arctic_model.hpp"
 #include "support/argparse.hpp"
 #include "support/table.hpp"
@@ -57,17 +58,19 @@ int main(int argc, char** argv) {
       ctx.set_tracer(&tracers[static_cast<std::size_t>(ctx.rank())]);
       comm::Comm comm(ctx);
       gcm::Model model(cfg, comm);
+      const std::string tile_path =
+          gcm::tile_ckpt::rank_path(ckpt, comm.group_rank());
       if (seg == 0) {
         model.initialize();
       } else {
-        model.load_checkpoint(ckpt);
+        gcm::tile_ckpt::load(tile_path, cfg, &model.state());
       }
       for (int s = 0; s < steps; ++s) {
         if (!model.step().cg_converged) {
           throw std::runtime_error("solver failed");
         }
       }
-      model.save_checkpoint(ckpt);
+      gcm::tile_ckpt::save(tile_path, cfg, model.state());
       const double ke = model.kinetic_energy();
       if (comm.group_rank() == 0) {
         std::lock_guard<std::mutex> lock(io);

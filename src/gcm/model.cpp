@@ -12,7 +12,6 @@
 
 #include "gcm/eos.hpp"
 #include "gcm/physics.hpp"
-#include "gcm/tile_ckpt.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -333,29 +332,6 @@ Array2D<double> Model::gather_speed(int k) {
     }
   }
   return gather2d(local);
-}
-
-// Checkpoint format and file naming live in gcm/tile_ckpt (the single
-// owner of the HYADES03 wire format and path composition); the Model
-// methods stay as the per-rank facade over it.
-
-std::string Model::checkpoint_path(const std::string& prefix,
-                                   int group_rank) {
-  return tile_ckpt::rank_path(prefix, group_rank);
-}
-
-long Model::checkpoint_step(const std::string& path) {
-  return tile_ckpt::peek_step(path);
-}
-
-void Model::save_checkpoint(const std::string& prefix) const {
-  tile_ckpt::save(tile_ckpt::rank_path(prefix, comm_.group_rank()), cfg_,
-                  state_);
-}
-
-void Model::load_checkpoint(const std::string& prefix) {
-  tile_ckpt::load(tile_ckpt::rank_path(prefix, comm_.group_rank()), cfg_,
-                  &state_);
 }
 
 Array2D<double> Model::gather_ps() {

@@ -64,27 +64,6 @@ class Model {
   Array2D<double> gather_speed(int k);  // cell-centered |u|
   Array2D<double> gather_ps();
 
-  // ---- checkpoint / restart -------------------------------------------
-  // Each rank writes/reads its own tile file "<prefix>.rank<N>".  A
-  // restarted run continues bit-identically (the Adams-Bashforth history
-  // and the step counter are included).  Files are self-describing
-  // ("HYADES03": magic, config words, step, payload size, CRC-32) and
-  // published atomically (written to "<path>.tmp", then renamed), so a
-  // crash mid-save leaves the previous complete checkpoint intact.  load
-  // fails fast with a descriptive error on a bad magic, configuration
-  // mismatch, truncation, or CRC failure -- corrupt state never reaches
-  // the fields.
-  void save_checkpoint(const std::string& prefix) const;
-  void load_checkpoint(const std::string& prefix);
-
-  // The on-disk file name for a group rank's tile checkpoint.
-  static std::string checkpoint_path(const std::string& prefix,
-                                     int group_rank);
-  // Read the step counter out of a checkpoint header without loading the
-  // payload (the resilient driver picks the restart step this way).
-  // Throws if the file is missing or its header is not HYADES03.
-  static long checkpoint_step(const std::string& path);
-
   [[nodiscard]] const ModelConfig& config() const { return cfg_; }
   [[nodiscard]] const Decomp& decomp() const { return dec_; }
   [[nodiscard]] const TileGrid& grid() const { return grid_; }

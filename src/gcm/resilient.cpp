@@ -47,7 +47,7 @@ int ring_slot(long s, int ckpt_every, int depth) {
 RateLimiter g_recovery_warn_limiter(/*burst=*/6, /*every=*/64);
 
 // One committed in-memory snapshot of a rank's tile, written at every
-// checkpoint cut in migrate mode.  `ring_depth` of these per rank form
+// checkpoint cut.  `ring_depth` of these per rank form
 // the ring that lets survivors rewind without touching disk: because
 // each cut's save sits between collective barriers, no two live ranks
 // can be more than one cut apart, so a two-deep ring always covers the
@@ -100,7 +100,11 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
   // this run's restart point.
   tile_ckpt::remove_slots(rcfg.ckpt_prefix, nranks);
 
-  const bool migrate = rcfg.recovery == RecoveryMode::kMigrate;
+  // The recovery mode is read here and nowhere else: it picks the rung
+  // every recovery enters the degradation ladder at.
+  const RecoveryRung entry_rung = rcfg.recovery == RecoveryMode::kMigrate
+                                      ? RecoveryRung::kMigrate
+                                      : RecoveryRung::kEpochRestart;
   const cluster::FaultPlan* plan = rt.config().faults;
   const int ppp = rt.config().procs_per_smp;
   const int smp_count = rt.config().smp_count;
@@ -109,11 +113,9 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
   // Everything below is written by the driver between epochs or by a
   // rank thread in its own slot during an epoch; thread create/join
   // orders every cross-thread access.
-  std::vector<std::vector<Snap>> ring;  // per-rank committed snapshots
-  if (migrate) {
-    ring.assign(static_cast<std::size_t>(nranks),
-                std::vector<Snap>(static_cast<std::size_t>(rcfg.ring_depth)));
-  }
+  std::vector<std::vector<Snap>> ring(  // per-rank committed snapshots
+      static_cast<std::size_t>(nranks),
+      std::vector<Snap>(static_cast<std::size_t>(rcfg.ring_depth)));
   std::vector<int> host_map;  // evolving placement baseline; empty=identity
   std::set<int> dead_smps;    // boards lost and not yet replaced by a join
   int adopt_rr = 0;           // round-robin fallback cursor for adoption
@@ -164,7 +166,7 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
     pending_detect = -1.0;
   };
 
-  // ---- the degradation ladder's rungs ---------------------------------
+  // ---- the degradation ladder's last rung -----------------------------
 
   // Epoch restart: pick the newest consistent AND deep-verified durable
   // slot for a whole-world reload.  Consistency (same step on every
@@ -231,71 +233,72 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
         try {
           comm::Comm comm(ctx);
           Model model(mcfg, comm);
+          // This rank's tile file in the durable slot `slot`.
+          const auto durable_file = [&](int slot) {
+            return tile_ckpt::rank_path(
+                tile_ckpt::slot_prefix(rcfg.ckpt_prefix, slot),
+                comm.group_rank());
+          };
+          // Commit the tile's current state to the ring slot of its step.
+          const auto commit_snapshot = [&] {
+            const long at = model.state().step;
+            Snap& snap = ring[ri][static_cast<std::size_t>(
+                ring_slot(at, rcfg.ckpt_every, rcfg.ring_depth))];
+            snap.step = at;
+            snap.state = model.state();
+          };
           if (resume_step < 0) {
             model.initialize(rcfg.init_seed);
             // Durable step-0 checkpoint BEFORE the first communication:
             // even a kill firing in the first step restarts from a
             // complete, mutually consistent slot.
-            model.save_checkpoint(tile_ckpt::slot_prefix(rcfg.ckpt_prefix, 0));
-            if (migrate) {
-              // ring_slot(0) == 0 at any depth.
-              ring[ri][0].step = 0;
-              ring[ri][0].state = model.state();
-            }
-          } else if (!migrate || !load_prefix.empty()) {
-            // Epoch restart: the recovery mode's only rung, or the
-            // migrate ladder's last resort (the driver cleared the
-            // rings and reset the placement; the boards are back).
-            model.load_checkpoint(load_prefix);
+            tile_ckpt::save(durable_file(0), mcfg, model.state());
+          } else if (!load_prefix.empty()) {
+            // Epoch restart: the driver cleared the rings and reset the
+            // placement; the boards are back.
+            tile_ckpt::load(
+                tile_ckpt::rank_path(load_prefix, comm.group_rank()), mcfg,
+                &model.state());
             const Microseconds began = ctx.clock().now();
             ctx.clock().advance_to(clock_base);
             ctx.charge_restart(plan != nullptr ? plan->restart_cost_us : 0.0);
-            if (pending_downgrades > 0) {
-              ctx.note_downgrades(pending_downgrades);
-            }
             if (ctx.tracer() != nullptr) {
               ctx.tracer()->record("restart", cluster::SpanCat::kNodeDown,
                                    began, ctx.clock().now());
             }
-            if (migrate) {
-              const auto slot = static_cast<std::size_t>(ring_slot(
-                  resume_step, rcfg.ckpt_every, rcfg.ring_depth));
-              ring[ri][slot].step = resume_step;
-              ring[ri][slot].state = model.state();
+          } else if (adopt_load[ri] != 0) {
+            // Live migration: an adopter of a dead tile re-reads the
+            // newest durable per-tile checkpoint and pays the migration
+            // cost.
+            tile_ckpt::load(adopt_path[ri], mcfg, &model.state());
+            const Microseconds began = ctx.clock().now();
+            const Microseconds cost =
+                plan != nullptr ? plan->migrate_cost_us : 0.0;
+            ctx.clock().advance_to(clock_base + cost);
+            ctx.charge_migrate(cost);
+            if (ctx.tracer() != nullptr) {
+              // The span carries the landed rung's name, so the trace
+              // (and the report built from it) shows whether this
+              // recovery took the newest cut or fell a rung.
+              ctx.tracer()->record(to_string(pending_rung),
+                                   cluster::SpanCat::kNodeDown, began,
+                                   ctx.clock().now());
             }
           } else {
-            // Live-migration resume: adopters of dead tiles re-read the
-            // newest durable per-tile checkpoint and pay the migration
-            // cost; survivors rewind from the in-memory ring for free.
-            const auto slot = static_cast<std::size_t>(
-                ring_slot(resume_step, rcfg.ckpt_every, rcfg.ring_depth));
-            if (adopt_load[ri] != 0) {
-              tile_ckpt::load(adopt_path[ri], mcfg, &model.state());
-              const Microseconds began = ctx.clock().now();
-              const Microseconds cost =
-                  plan != nullptr ? plan->migrate_cost_us : 0.0;
-              ctx.clock().advance_to(clock_base + cost);
-              ctx.charge_migrate(cost);
-              if (ctx.tracer() != nullptr) {
-                // The span carries the landed rung's name, so the trace
-                // (and the report built from it) shows whether this
-                // recovery took the newest cut or fell a rung.
-                ctx.tracer()->record(to_string(pending_rung),
-                                     cluster::SpanCat::kNodeDown, began,
-                                     ctx.clock().now());
-              }
-            } else {
-              model.state() = ring[ri][slot].state;
-              ctx.clock().advance_to(clock_base);
-            }
-            if (pending_downgrades > 0) {
-              ctx.note_downgrades(pending_downgrades);
-            }
-            // Re-seed the ring at the recovery cut (fills the adopters'
-            // cleared ring; a bit-exact overwrite on survivors).
-            ring[ri][slot].step = resume_step;
-            ring[ri][slot].state = model.state();
+            // Live migration: a survivor rewinds from its in-memory ring
+            // for free.
+            model.state() = ring[ri][static_cast<std::size_t>(ring_slot(
+                                         resume_step, rcfg.ckpt_every,
+                                         rcfg.ring_depth))]
+                                .state;
+            ctx.clock().advance_to(clock_base);
           }
+          if (pending_downgrades > 0) {
+            ctx.note_downgrades(pending_downgrades);
+          }
+          // Seed the ring at the start or resume cut (fills a cleared
+          // ring; a bit-exact overwrite on a rewound survivor).
+          commit_snapshot();
           bool first_step = true;
           while (model.state().step < steps) {
             (void)model.step();
@@ -308,37 +311,32 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
               // The barrier makes the rotation a collective cut at step
               // s; double buffering covers an abort mid-rotation.
               model.comm().barrier();
-              const int dslot = durable_slot(s, rcfg.ckpt_every);
-              model.save_checkpoint(
-                  tile_ckpt::slot_prefix(rcfg.ckpt_prefix, dslot));
-              if (migrate) {
-                const auto cslot = static_cast<std::size_t>(
-                    ring_slot(s, rcfg.ckpt_every, rcfg.ring_depth));
-                ring[ri][cslot].step = s;
-                ring[ri][cslot].state = model.state();
-                // Hot joins: every rank applies the same pure function
-                // of (plan, step) to its local placement map, so the
-                // maps stay consistent without any shared state.  A
-                // migrated tile whose home board is back returns home;
-                // re-applying is a no-op, so replayed epochs converge.
-                if (plan != nullptr && plan->has_node_joins()) {
-                  for (const cluster::NodeJoin& j : plan->node_joins) {
-                    if (j.smp < 0 || j.smp >= smp_count || j.at_step > s) {
-                      continue;
-                    }
-                    const int lo = j.smp * ppp;
-                    for (int q = lo; q < lo + ppp && q < nranks; ++q) {
-                      if (ctx.host_smp_of(q) == j.smp) continue;
-                      ctx.rehome_rank(q, j.smp);
-                      if (q == rank) {
-                        const Microseconds began = ctx.clock().now();
-                        ctx.clock().advance(plan->rebalance_cost_us);
-                        ctx.charge_rebalance(plan->rebalance_cost_us);
-                        if (ctx.tracer() != nullptr) {
-                          ctx.tracer()->record("rebalance",
-                                               cluster::SpanCat::kNodeDown,
-                                               began, ctx.clock().now());
-                        }
+              tile_ckpt::save(durable_file(durable_slot(s, rcfg.ckpt_every)),
+                              mcfg, model.state());
+              commit_snapshot();
+              // Hot joins: every rank applies the same pure function of
+              // (plan, step) to its local placement map, so the maps
+              // stay consistent without any shared state.  A migrated
+              // tile whose home board is back returns home; re-applying
+              // is a no-op, so replayed epochs converge.  A tile that
+              // never left home (identity placement) is skipped.
+              if (plan != nullptr && plan->has_node_joins()) {
+                for (const cluster::NodeJoin& j : plan->node_joins) {
+                  if (j.smp < 0 || j.smp >= smp_count || j.at_step > s) {
+                    continue;
+                  }
+                  const int lo = j.smp * ppp;
+                  for (int q = lo; q < lo + ppp && q < nranks; ++q) {
+                    if (ctx.host_smp_of(q) == j.smp) continue;
+                    ctx.rehome_rank(q, j.smp);
+                    if (q == rank) {
+                      const Microseconds began = ctx.clock().now();
+                      ctx.clock().advance(plan->rebalance_cost_us);
+                      ctx.charge_rebalance(plan->rebalance_cost_us);
+                      if (ctx.tracer() != nullptr) {
+                        ctx.tracer()->record("rebalance",
+                                             cluster::SpanCat::kNodeDown,
+                                             began, ctx.clock().now());
                       }
                     }
                   }
@@ -404,248 +402,221 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
       RecoveryEvent ev;
       ev.verdict = e.verdict;
 
-      if (!migrate) {
-        // ---- epoch restart: everyone reloads the newest full slot ----
+      // The verdict carries a dead *set*: every board hosting a
+      // kill-named rank is down, together with every tile it hosts
+      // (including tiles adopted during an earlier recovery).
+      std::set<int> dead_boards;
+      for (int vr : e.verdict.dead_ranks()) dead_boards.insert(host_of(vr));
+      std::vector<char> is_dead(static_cast<std::size_t>(nranks), 0);
+      std::vector<int> dead;
+      for (int r = 0; r < nranks; ++r) {
+        if (dead_boards.count(host_of(r)) != 0) {
+          is_dead[static_cast<std::size_t>(r)] = 1;
+          dead.push_back(r);
+        }
+      }
+
+      // One rung of migration planning: find the newest cut at or
+      // below `ceiling` that every survivor's ring and every dead
+      // rank's (CRC-verified) durable checkpoint can meet at.  Any
+      // precondition miss fails the rung with its reason -- the
+      // ladder decides what to do next, nothing aborts the campaign.
+      std::vector<std::string> planned_paths(static_cast<std::size_t>(nranks));
+      const auto try_migrate = [&](long ceiling, RungAttempt* att) -> bool {
+        att->ok = false;
+        att->step = -1;
+        if (static_cast<int>(dead.size()) == nranks) {
+          att->reason = "verdict takes every board down; nothing to migrate";
+          return false;
+        }
+        long s_surv = -1;
+        bool have_surv = false;
+        for (int r = 0; r < nranks; ++r) {
+          if (is_dead[static_cast<std::size_t>(r)] != 0) continue;
+          const long newest =
+              newest_ring_step(ring[static_cast<std::size_t>(r)]);
+          if (newest < 0) {
+            att->reason = "survivor rank " + std::to_string(r) +
+                          " holds no committed snapshot";
+            return false;
+          }
+          s_surv = have_surv ? std::min(s_surv, newest) : newest;
+          have_surv = true;
+        }
+        const long cap = std::min(s_surv, ceiling);
+        if (cap < 0) {
+          att->reason = "no committed cut at or below step " +
+                        std::to_string(ceiling);
+          return false;
+        }
+        // Clamp by the dead tiles' newest durable checkpoints: a rank
+        // that died inside a cut's barrier may have published one cut
+        // less than the survivors reached.
+        long s_recover = cap;
+        for (int r : dead) {
+          const tile_ckpt::TileHit hit =
+              tile_ckpt::newest_rank_ckpt(rcfg.ckpt_prefix, r, cap);
+          if (hit.step < 0) {
+            att->reason = "dead rank " + std::to_string(r) +
+                          " has no durable checkpoint at or below step " +
+                          std::to_string(cap);
+            return false;
+          }
+          s_recover = std::min(s_recover, hit.step);
+        }
+        att->step = s_recover;
+        // Resolve every dead rank's recovery source at exactly
+        // s_recover, and deep-verify it: peek_step only reads the
+        // header, so a payload with rotted bits would otherwise crash
+        // the adopter mid-load instead of degrading the rung.
+        for (int r : dead) {
+          const tile_ckpt::TileHit hit =
+              tile_ckpt::newest_rank_ckpt(rcfg.ckpt_prefix, r, s_recover);
+          if (hit.step != s_recover) {
+            att->reason = "dead rank " + std::to_string(r) +
+                          " has no durable checkpoint at recovery step " +
+                          std::to_string(s_recover);
+            return false;
+          }
+          if (!tile_ckpt::verify(hit.path, mcfg)) {
+            att->reason = "dead rank " + std::to_string(r) +
+                          " durable checkpoint at step " +
+                          std::to_string(s_recover) +
+                          " failed deep verification (corrupt)";
+            return false;
+          }
+          planned_paths[static_cast<std::size_t>(r)] = hit.path;
+        }
+        for (int r = 0; r < nranks; ++r) {
+          const auto riv = static_cast<std::size_t>(r);
+          if (is_dead[riv] != 0) continue;
+          if (!ring_has(ring[riv], s_recover)) {
+            att->reason = "survivor rank " + std::to_string(r) +
+                          " ring misses recovery cut " +
+                          std::to_string(s_recover);
+            return false;
+          }
+        }
+        att->ok = true;
+        return true;
+      };
+
+      // Rungs 1-2: migrate at the newest common cut, then from one
+      // durable cut further back (the newest may be corrupt, or a dead
+      // rank may miss it entirely).  A recovery entering the ladder at
+      // the epoch-restart rung skips both.
+      bool planned = false;
+      long ceiling = steps;
+      for (const RecoveryRung rung :
+           {RecoveryRung::kMigrate, RecoveryRung::kMigrateOlderCut}) {
+        if (rung < entry_rung) continue;
+        RungAttempt att;
+        att.rung = rung;
+        planned = try_migrate(ceiling, &att);
+        ev.attempts.push_back(att);
+        if (planned) break;
+        ceiling = (att.step >= 0 ? att.step : static_cast<long>(steps)) - 1;
+      }
+
+      if (planned) {
+        const long s_recover = ev.attempts.back().step;
+        adopt_load.assign(static_cast<std::size_t>(nranks), 0);
+        for (int r : dead) {
+          adopt_load[static_cast<std::size_t>(r)] = 1;
+          adopt_path[static_cast<std::size_t>(r)] =
+              planned_paths[static_cast<std::size_t>(r)];
+        }
+
+        // Evolve the placement baseline.  First mirror the joins the
+        // aborted epoch had already applied at cuts up to the recovery
+        // step, so the baseline matches every rank's map at that cut;
+        // then retire the dead boards and re-home their tiles.
+        if (host_map.empty()) {
+          host_map.resize(static_cast<std::size_t>(nranks));
+          for (int r = 0; r < nranks; ++r) {
+            host_map[static_cast<std::size_t>(r)] = r / ppp;
+          }
+        }
+        if (plan != nullptr) {
+          for (const cluster::NodeJoin& j : plan->node_joins) {
+            if (j.smp < 0 || j.smp >= smp_count || j.at_step > s_recover ||
+                dead_boards.count(j.smp) != 0) {
+              continue;
+            }
+            dead_smps.erase(j.smp);
+            const int lo = j.smp * ppp;
+            for (int q = lo; q < lo + ppp && q < nranks; ++q) {
+              host_map[static_cast<std::size_t>(q)] = j.smp;
+            }
+          }
+        }
+        dead_smps.insert(dead_boards.begin(), dead_boards.end());
+        std::vector<int> alive;
+        for (int smp = 0; smp < smp_count; ++smp) {
+          if (dead_smps.count(smp) == 0) alive.push_back(smp);
+        }
+        // Adoption: prefer the board hosting a surviving halo neighbor
+        // (the adopted tile's exchanges stay partly local), else
+        // spread the orphans round-robin over the surviving boards.
+        // `alive` cannot be empty here: a planned migration implies at
+        // least one survivor, and its host is not a dead board.
+        for (int r : dead) {
+          int target = -1;
+          const Decomp dec(mcfg, r);
+          for (int nr : dec.neighbors) {
+            if (nr < 0 || is_dead[static_cast<std::size_t>(nr)] != 0) {
+              continue;
+            }
+            const int cand = host_map[static_cast<std::size_t>(nr)];
+            if (dead_smps.count(cand) == 0) {
+              target = cand;
+              break;
+            }
+          }
+          if (target < 0) {
+            target =
+                alive[static_cast<std::size_t>(adopt_rr) % alive.size()];
+            ++adopt_rr;
+          }
+          host_map[static_cast<std::size_t>(r)] = target;
+          // The adopter board's in-memory ring never held this tile:
+          // invalidate the dead rank's snapshots so a later failure
+          // cannot rewind onto state that died with the board.
+          for (Snap& snap : ring[static_cast<std::size_t>(r)]) {
+            snap.step = -1;
+          }
+        }
+
+        load_prefix.clear();
+        resume_step = s_recover;
+        clock_base = e.verdict.detected_us;
+      } else {
+        // Rung 3: restart the world from the newest verified slot.  The
+        // operator replaced the boards: placement returns to identity,
+        // no board is dead in the restarted epoch, and the rings restart
+        // from the reload cut (the driver clears them; each rank
+        // re-seeds its own at resume).
         if (!plan_epoch_restart(&ev)) {
           throw RecoveryExhausted(e.verdict, ev.attempts);
         }
-        st.restart_steps.push_back(resume_step);
+        host_map.clear();
+        dead_smps.clear();
+        adopt_load.assign(static_cast<std::size_t>(nranks), 0);
+        for (std::vector<Snap>& rr : ring) {
+          for (Snap& snap : rr) snap.step = -1;
+        }
         clock_base = e.verdict.detected_us +
                      (plan != nullptr ? plan->restart_cost_us : 0.0);
-        if (g_recovery_warn_limiter.admit()) {
-          log_warn() << "run_resilient: epoch " << epoch << " aborted (rank "
-                     << e.verdict.rank << " down at t="
-                     << e.verdict.detected_us << " us); restarting from step "
-                     << st.restart_steps.back();
-        }
-      } else {
-        // ---- live migration: survivors rewind in memory, adopters ----
-        // ---- re-load only the dead tiles' durable checkpoints.    ----
-        // The verdict carries a dead *set*: every board hosting a
-        // kill-named rank is down, together with every tile it hosts
-        // (including tiles adopted during an earlier recovery).
-        std::set<int> dead_boards;
-        for (int vr : e.verdict.dead_ranks()) dead_boards.insert(host_of(vr));
-        std::vector<char> is_dead(static_cast<std::size_t>(nranks), 0);
-        std::vector<int> dead;
-        for (int r = 0; r < nranks; ++r) {
-          if (dead_boards.count(host_of(r)) != 0) {
-            is_dead[static_cast<std::size_t>(r)] = 1;
-            dead.push_back(r);
-          }
-        }
-
-        // One rung of migration planning: find the newest cut at or
-        // below `ceiling` that every survivor's ring and every dead
-        // rank's (CRC-verified) durable checkpoint can meet at.  Any
-        // precondition miss fails the rung with its reason -- the
-        // ladder decides what to do next, nothing aborts the campaign.
-        std::vector<std::string> planned_paths(
-            static_cast<std::size_t>(nranks));
-        const auto try_migrate = [&](long ceiling, RungAttempt* att) -> bool {
-          att->ok = false;
-          att->step = -1;
-          if (static_cast<int>(dead.size()) == nranks) {
-            att->reason = "verdict takes every board down; nothing to migrate";
-            return false;
-          }
-          long s_surv = -1;
-          bool have_surv = false;
-          for (int r = 0; r < nranks; ++r) {
-            if (is_dead[static_cast<std::size_t>(r)] != 0) continue;
-            const long newest =
-                newest_ring_step(ring[static_cast<std::size_t>(r)]);
-            if (newest < 0) {
-              att->reason = "survivor rank " + std::to_string(r) +
-                            " holds no committed snapshot";
-              return false;
-            }
-            s_surv = have_surv ? std::min(s_surv, newest) : newest;
-            have_surv = true;
-          }
-          const long cap = std::min(s_surv, ceiling);
-          if (cap < 0) {
-            att->reason = "no committed cut at or below step " +
-                          std::to_string(ceiling);
-            return false;
-          }
-          // Clamp by the dead tiles' newest durable checkpoints: a rank
-          // that died inside a cut's barrier may have published one cut
-          // less than the survivors reached.
-          long s_recover = cap;
-          for (int r : dead) {
-            const tile_ckpt::TileHit hit =
-                tile_ckpt::newest_rank_ckpt(rcfg.ckpt_prefix, r, cap);
-            if (hit.step < 0) {
-              att->reason = "dead rank " + std::to_string(r) +
-                            " has no durable checkpoint at or below step " +
-                            std::to_string(cap);
-              return false;
-            }
-            s_recover = std::min(s_recover, hit.step);
-          }
-          att->step = s_recover;
-          // Resolve every dead rank's recovery source at exactly
-          // s_recover, and deep-verify it: peek_step only reads the
-          // header, so a payload with rotted bits would otherwise crash
-          // the adopter mid-load instead of degrading the rung.
-          for (int r : dead) {
-            const tile_ckpt::TileHit hit =
-                tile_ckpt::newest_rank_ckpt(rcfg.ckpt_prefix, r, s_recover);
-            if (hit.step != s_recover) {
-              att->reason = "dead rank " + std::to_string(r) +
-                            " has no durable checkpoint at recovery step " +
-                            std::to_string(s_recover);
-              return false;
-            }
-            if (!tile_ckpt::verify(hit.path, mcfg)) {
-              att->reason = "dead rank " + std::to_string(r) +
-                            " durable checkpoint at step " +
-                            std::to_string(s_recover) +
-                            " failed deep verification (corrupt)";
-              return false;
-            }
-            planned_paths[static_cast<std::size_t>(r)] = hit.path;
-          }
-          for (int r = 0; r < nranks; ++r) {
-            const auto riv = static_cast<std::size_t>(r);
-            if (is_dead[riv] != 0) continue;
-            if (!ring_has(ring[riv], s_recover)) {
-              att->reason = "survivor rank " + std::to_string(r) +
-                            " ring misses recovery cut " +
-                            std::to_string(s_recover);
-              return false;
-            }
-          }
-          att->ok = true;
-          return true;
-        };
-
-        // Rung 1: migrate at the newest common cut.
-        RungAttempt a1;
-        a1.rung = RecoveryRung::kMigrate;
-        bool planned = try_migrate(static_cast<long>(steps), &a1);
-        ev.attempts.push_back(a1);
-        // Rung 2: migrate from one durable cut further back (the newest
-        // may be corrupt, or a dead rank may miss it entirely).
-        if (!planned) {
-          RungAttempt a2;
-          a2.rung = RecoveryRung::kMigrateOlderCut;
-          const long older_ceiling =
-              (a1.step >= 0 ? a1.step : static_cast<long>(steps)) - 1;
-          planned = try_migrate(older_ceiling, &a2);
-          ev.attempts.push_back(a2);
-        }
-
-        if (planned) {
-          const long s_recover = ev.attempts.back().step;
-          adopt_load.assign(static_cast<std::size_t>(nranks), 0);
-          for (int r : dead) {
-            adopt_load[static_cast<std::size_t>(r)] = 1;
-            adopt_path[static_cast<std::size_t>(r)] =
-                planned_paths[static_cast<std::size_t>(r)];
-          }
-
-          // Evolve the placement baseline.  First mirror the joins the
-          // aborted epoch had already applied at cuts up to the recovery
-          // step, so the baseline matches every rank's map at that cut;
-          // then retire the dead boards and re-home their tiles.
-          if (host_map.empty()) {
-            host_map.resize(static_cast<std::size_t>(nranks));
-            for (int r = 0; r < nranks; ++r) {
-              host_map[static_cast<std::size_t>(r)] = r / ppp;
-            }
-          }
-          if (plan != nullptr) {
-            for (const cluster::NodeJoin& j : plan->node_joins) {
-              if (j.smp < 0 || j.smp >= smp_count || j.at_step > s_recover ||
-                  dead_boards.count(j.smp) != 0) {
-                continue;
-              }
-              dead_smps.erase(j.smp);
-              const int lo = j.smp * ppp;
-              for (int q = lo; q < lo + ppp && q < nranks; ++q) {
-                host_map[static_cast<std::size_t>(q)] = j.smp;
-              }
-            }
-          }
-          dead_smps.insert(dead_boards.begin(), dead_boards.end());
-          std::vector<int> alive;
-          for (int smp = 0; smp < smp_count; ++smp) {
-            if (dead_smps.count(smp) == 0) alive.push_back(smp);
-          }
-          // Adoption: prefer the board hosting a surviving halo neighbor
-          // (the adopted tile's exchanges stay partly local), else
-          // spread the orphans round-robin over the surviving boards.
-          // `alive` cannot be empty here: a planned migration implies at
-          // least one survivor, and its host is not a dead board.
-          for (int r : dead) {
-            int target = -1;
-            const Decomp dec(mcfg, r);
-            for (int nr : dec.neighbors) {
-              if (nr < 0 || is_dead[static_cast<std::size_t>(nr)] != 0) {
-                continue;
-              }
-              const int cand = host_map[static_cast<std::size_t>(nr)];
-              if (dead_smps.count(cand) == 0) {
-                target = cand;
-                break;
-              }
-            }
-            if (target < 0) {
-              target =
-                  alive[static_cast<std::size_t>(adopt_rr) % alive.size()];
-              ++adopt_rr;
-            }
-            host_map[static_cast<std::size_t>(r)] = target;
-            // The adopter board's in-memory ring never held this tile:
-            // invalidate the dead rank's snapshots so a later failure
-            // cannot rewind onto state that died with the board.
-            for (Snap& snap : ring[static_cast<std::size_t>(r)]) {
-              snap.step = -1;
-            }
-          }
-
-          load_prefix.clear();
-          resume_step = s_recover;
-          st.restart_steps.push_back(s_recover);
-          clock_base = e.verdict.detected_us;
-          if (g_recovery_warn_limiter.admit()) {
-            log_warn() << "run_resilient: epoch " << epoch
-                       << " aborted (rank " << e.verdict.rank << " down, "
-                       << dead_boards.size() << " board(s), t="
-                       << e.verdict.detected_us << " us); "
-                       << to_string(ev.landed()) << ": migrating "
-                       << dead.size() << " tile(s) and resuming from step "
-                       << s_recover;
-          }
-        } else {
-          const std::string migrate_fail_reason = ev.attempts.back().reason;
-          if (!plan_epoch_restart(&ev)) {
-            throw RecoveryExhausted(e.verdict, ev.attempts);
-          }
-          // Rung 3: restart the world from the newest verified slot.
-          // The operator replaced the boards: placement returns to
-          // identity, no board is dead in the restarted epoch, and the
-          // rings restart from the reload cut (the driver clears them;
-          // each rank re-seeds its own at resume).
-          host_map.clear();
-          dead_smps.clear();
-          adopt_load.assign(static_cast<std::size_t>(nranks), 0);
-          for (std::vector<Snap>& rr : ring) {
-            for (Snap& snap : rr) snap.step = -1;
-          }
-          st.restart_steps.push_back(resume_step);
-          clock_base = e.verdict.detected_us +
-                       (plan != nullptr ? plan->restart_cost_us : 0.0);
-          if (g_recovery_warn_limiter.admit()) {
-            log_warn() << "run_resilient: epoch " << epoch
-                       << " aborted (rank " << e.verdict.rank
-                       << " down); migration unplannable ("
-                       << migrate_fail_reason
-                       << "); epoch restart from step " << resume_step;
-          }
-        }
+      }
+      st.restart_steps.push_back(resume_step);
+      if (g_recovery_warn_limiter.admit()) {
+        // A downgraded recovery also names why the rung above failed.
+        const std::size_t n = ev.attempts.size();
+        log_warn() << "run_resilient: epoch " << epoch << " aborted (rank "
+                   << e.verdict.rank << " down, " << dead_boards.size()
+                   << " board(s), t=" << e.verdict.detected_us << " us); "
+                   << to_string(ev.landed()) << " from step " << resume_step
+                   << (n > 1 ? " (" + ev.attempts[n - 2].reason + ")" : "");
       }
       pending_rung = ev.landed();
       pending_downgrades = ev.downgrades();

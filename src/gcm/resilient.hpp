@@ -23,18 +23,20 @@
 // epoch loop runs exactly once and adds no comm, clock, or accounting
 // effects beyond the periodic checkpoint barrier.
 //
-// Elastic membership (RecoveryMode::kMigrate) replaces the
-// restart-the-world epoch with *live tile migration*: every rank keeps a
-// two-deep in-memory ring of committed cut snapshots alongside the
-// durable per-tile files, so after a NodeDown verdict the survivors
-// rewind from memory while only the dead node's tiles are re-read from
-// their newest durable checkpoints by adopter ranks re-homed onto
-// surviving boards (neighbor-preferring placement, round-robin
-// fallback).  The epoch tag still bumps -- stale traffic ages out
-// exactly as under restart -- but the survivors pay no restart cost and
-// no disk I/O, so recovery is strictly faster.  A scheduled NodeJoin
-// hands the migrated tiles back to the replacement board at the first
-// checkpoint cut at or past its step, rebalancing the load.  State
+// Elastic membership: every recovery walks one degradation ladder (see
+// RecoveryRung), entered at the rung the RecoveryMode picks.  Its upper
+// rungs are *live tile migration*: every rank keeps an in-memory ring of
+// committed cut snapshots alongside the durable per-tile files, so after
+// a NodeDown verdict the survivors rewind from memory while only the
+// dead node's tiles are re-read from their newest durable checkpoints
+// by adopter ranks re-homed onto surviving boards (neighbor-preferring
+// placement, round-robin fallback).  The epoch tag still bumps -- stale
+// traffic ages out exactly as under restart -- but the survivors pay no
+// restart cost and no disk I/O, so recovery is strictly faster.  The
+// last rung is the epoch restart above, which returns placement to
+// identity.  A scheduled NodeJoin hands migrated tiles back to the
+// replacement board at the first checkpoint cut at or past its step,
+// rebalancing the load (a no-op for tiles that never left home).  State
 // evolution is placement-independent, so every recovery and rebalance
 // finishes bit-identical to the failure-free run.
 #pragma once
@@ -52,9 +54,9 @@
 
 namespace hyades::gcm {
 
-// How the driver recovers from a NodeDown verdict: relaunch the world
-// from the newest consistent slot (kEpochRestart), or rewind survivors
-// in memory and re-load only the dead tiles (kMigrate).
+// The rung at which every recovery enters the degradation ladder:
+// kMigrate tries live migration first, kEpochRestart goes straight to
+// relaunching the world from the newest consistent slot.
 enum class RecoveryMode { kEpochRestart, kMigrate };
 
 struct ResilientConfig {
@@ -64,7 +66,7 @@ struct ResilientConfig {
   std::uint64_t init_seed = 7;
   RecoveryMode recovery = RecoveryMode::kEpochRestart;
 
-  // Depth of the in-memory snapshot ring (kMigrate only; >= 2).  Depth
+  // Depth of the in-memory snapshot ring (>= 2).  Depth
   // 2 covers the one-cut skew collective barriers allow between live
   // ranks; deeper rings keep older cuts live so the older-cut rung can
   // reach further back under long detection latencies.  The durable
@@ -91,9 +93,8 @@ struct ResilientConfig {
 };
 
 // The degradation ladder's rungs, in the order recovery attempts them
-// under kMigrate.  Epoch restart is both a mode and the ladder's
-// next-to-last rung: when migration cannot be planned (no survivors, a
-// corrupt adopted tile with no older cut, a ring miss), the driver
+// from its entry rung.  When migration cannot be planned (no survivors,
+// a corrupt adopted tile with no older cut, a ring miss), the driver
 // falls back to restarting the world from the newest consistent slot
 // before giving up with a typed RecoveryExhausted.
 enum class RecoveryRung {

@@ -297,7 +297,7 @@ TEST(Fabric, RoutesAroundScheduledLinkKill) {
   // A fault-plan link kill fires through the virtual clock; traffic
   // injected afterwards routes around the dead cable and still lands.
   FabricConfig cfg;
-  const Route healthy = compute_route(0, 15, 2);
+  const Route healthy = compute_route(0, 15, FatTreeShape{kRadix, 2});
   KillEvent kill;
   kill.kind = KillEvent::Kind::kLink;
   kill.level = 0;
@@ -329,7 +329,7 @@ TEST(Fabric, InFlightPacketLostAtKilledRouter) {
   KillEvent kill;
   kill.kind = KillEvent::Kind::kRouter;
   kill.level = 1;
-  kill.index = compute_route(0, 15, 2).up_ports[0];
+  kill.index = compute_route(0, 15, FatTreeShape{kRadix, 2}).up_ports[0];
   rig.fabric.apply_kill(kill);
   rig.sched.run();
   EXPECT_EQ(rig.deliveries.size(), 0u);

@@ -422,6 +422,23 @@ TEST(Elastic, HotJoinHandsMigratedTilesBackBitIdentically) {
     expect_state_bits_equal(a.state.at(rank), b.state.at(rank),
                             "hotjoin-vs-clean");
   }
+
+  // The same plan entered at the epoch-restart rung: the hot-join block
+  // still runs at every cut, but placement never left identity, so
+  // nothing is handed back and the bits still match the clean run.
+  const ElasticRun c = run_elastic_gyre(12, &plan, "hyades_el_join_restart",
+                                        4, 1, gcm::RecoveryMode::kEpochRestart);
+  EXPECT_EQ(c.stats.restarts, 1);
+  EXPECT_EQ(c.stats.migrations, 0);
+  EXPECT_EQ(c.stats.rebalances, 0);
+  EXPECT_EQ(c.restarts, 4);  // every rank pays the restart
+  EXPECT_EQ(c.migrations, 0);
+  EXPECT_EQ(c.rebalances, 0);
+  ASSERT_EQ(c.state.size(), 4u);
+  for (int rank = 0; rank < 4; ++rank) {
+    expect_state_bits_equal(a.state.at(rank), c.state.at(rank),
+                            "hotjoin-restart-vs-clean");
+  }
 }
 
 TEST(Elastic, JoinWithoutAnyMigrationIsANoOp) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "gcm/model.hpp"
+#include "gcm/tile_ckpt.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
 
 namespace hyades::gcm {
@@ -20,9 +21,19 @@ std::string prefix_for(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+// Each rank writes/reads its own tile file under `prefix`.
+void save(Model& m, const std::string& prefix) {
+  tile_ckpt::save(tile_ckpt::rank_path(prefix, m.comm().group_rank()),
+                  m.config(), m.state());
+}
+void load(Model& m, const std::string& prefix) {
+  tile_ckpt::load(tile_ckpt::rank_path(prefix, m.comm().group_rank()),
+                  m.config(), &m.state());
+}
+
 void cleanup(const std::string& prefix, int ranks) {
   for (int r = 0; r < ranks; ++r) {
-    std::remove((prefix + ".rank" + std::to_string(r)).c_str());
+    std::remove(tile_ckpt::rank_path(prefix, r).c_str());
   }
 }
 
@@ -52,11 +63,11 @@ TEST(Checkpoint, RestartContinuesBitIdentically) {
     Model m(cfg, comm);
     m.initialize();
     m.run(6);
-    m.save_checkpoint(prefix);
+    save(m, prefix);
   });
   run_ranks(4, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(cfg, comm);
-    m.load_checkpoint(prefix);
+    load(m, prefix);
     EXPECT_EQ(m.state().step, 6);
     m.run(4);
     const double ke = m.kinetic_energy();
@@ -75,14 +86,14 @@ TEST(Checkpoint, MismatchedConfigRejected) {
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(small_ocean(1, 1), comm);
     m.initialize();
-    m.save_checkpoint(prefix);
+    save(m, prefix);
   });
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     ModelConfig other = small_ocean(1, 1);
     other.nz = 3;  // differs from the checkpoint
     other.validate();
     Model m(other, comm);
-    EXPECT_THROW(m.load_checkpoint(prefix), std::runtime_error);
+    EXPECT_THROW(load(m, prefix), std::runtime_error);
   });
   cleanup(prefix, 1);
 }
@@ -90,7 +101,7 @@ TEST(Checkpoint, MismatchedConfigRejected) {
 TEST(Checkpoint, MissingFileRejected) {
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(small_ocean(1, 1), comm);
-    EXPECT_THROW(m.load_checkpoint("/nonexistent/path/ckpt"),
+    EXPECT_THROW(load(m, "/nonexistent/path/ckpt"),
                  std::runtime_error);
   });
 }
@@ -100,15 +111,15 @@ TEST(Checkpoint, TruncatedFileRejected) {
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(small_ocean(1, 1), comm);
     m.initialize();
-    m.save_checkpoint(prefix);
+    save(m, prefix);
   });
   // Truncate the file to half.
-  const std::string path = prefix + ".rank0";
+  const std::string path = tile_ckpt::rank_path(prefix, 0);
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(small_ocean(1, 1), comm);
-    EXPECT_THROW(m.load_checkpoint(prefix), std::runtime_error);
+    EXPECT_THROW(load(m, prefix), std::runtime_error);
   });
   cleanup(prefix, 1);
 }
@@ -122,9 +133,9 @@ TEST(Checkpoint, BitFlippedPayloadRejectedByCrc) {
     Model m(small_ocean(1, 1), comm);
     m.initialize();
     m.run(3);
-    m.save_checkpoint(prefix);
+    save(m, prefix);
   });
-  const std::string path = Model::checkpoint_path(prefix, 0);
+  const std::string path = tile_ckpt::rank_path(prefix, 0);
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
@@ -139,7 +150,7 @@ TEST(Checkpoint, BitFlippedPayloadRejectedByCrc) {
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(small_ocean(1, 1), comm);
     try {
-      m.load_checkpoint(prefix);
+      load(m, prefix);
       FAIL() << "bit-flipped checkpoint loaded without error";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos)
@@ -161,7 +172,7 @@ TEST(Checkpoint, DiskRoundTripIntoFreshModelIsBitIdentical) {
     Model m(cfg, comm);
     m.initialize();
     m.run(5);
-    m.save_checkpoint(prefix);
+    save(m, prefix);
     const State& s = m.state();
     want.assign(s.u.data(), s.u.data() + s.u.size());
     want.insert(want.end(), s.theta.data(), s.theta.data() + s.theta.size());
@@ -169,7 +180,7 @@ TEST(Checkpoint, DiskRoundTripIntoFreshModelIsBitIdentical) {
   });
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(cfg, comm);  // fresh: no initialize(), state is all zeros
-    m.load_checkpoint(prefix);
+    load(m, prefix);
     EXPECT_EQ(m.state().step, 5);
     const State& s = m.state();
     std::vector<double> got(s.u.data(), s.u.data() + s.u.size());
@@ -192,11 +203,11 @@ TEST(Checkpoint, BadMagicRejectedAndStepParserWorks) {
     Model m(small_ocean(1, 1), comm);
     m.initialize();
     m.run(7);
-    m.save_checkpoint(prefix);
+    save(m, prefix);
   });
-  const std::string path = Model::checkpoint_path(prefix, 0);
+  const std::string path = tile_ckpt::rank_path(prefix, 0);
   // The header parser reads the step without touching any model.
-  EXPECT_EQ(Model::checkpoint_step(path), 7);
+  EXPECT_EQ(tile_ckpt::peek_step(path), 7);
   // Corrupt the magic: the loader must refuse before reading anything
   // else, and say what it expected.
   {
@@ -206,11 +217,11 @@ TEST(Checkpoint, BadMagicRejectedAndStepParserWorks) {
     f.seekp(2);
     f.write(&junk, 1);
   }
-  EXPECT_THROW((void)Model::checkpoint_step(path), std::runtime_error);
+  EXPECT_THROW((void)tile_ckpt::peek_step(path), std::runtime_error);
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(small_ocean(1, 1), comm);
     try {
-      m.load_checkpoint(prefix);
+      load(m, prefix);
       FAIL() << "bad-magic checkpoint loaded without error";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos)
@@ -221,7 +232,7 @@ TEST(Checkpoint, BadMagicRejectedAndStepParserWorks) {
 }
 
 TEST(Checkpoint, SaveIsAtomicNoTmpFileSurvives) {
-  // save_checkpoint writes to a `.tmp` sibling and renames; after a
+  // tile_ckpt::save writes to a `.tmp` sibling and renames; after a
   // successful save the temporary must be gone and the final file
   // complete.  A crash mid-write can strand a .tmp but never a partial
   // final file -- loaders only ever see complete checkpoints.
@@ -229,9 +240,9 @@ TEST(Checkpoint, SaveIsAtomicNoTmpFileSurvives) {
   run_ranks(1, [&](cluster::RankContext&, comm::Comm& comm) {
     Model m(small_ocean(1, 1), comm);
     m.initialize();
-    m.save_checkpoint(prefix);
+    save(m, prefix);
   });
-  const std::string path = Model::checkpoint_path(prefix, 0);
+  const std::string path = tile_ckpt::rank_path(prefix, 0);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   cleanup(prefix, 1);
