@@ -16,28 +16,30 @@ namespace {
 RateLimiter g_straggler_warn_limiter(/*burst=*/4, /*every=*/1u << 20);
 }  // namespace
 
-void AbortableBarrier::arrive_and_wait() {
+void AbortableBarrier::arrive_and_wait(int rank) {
   support::MutexLock lock(mu_);
-  if (aborted_) throw std::runtime_error("SMP barrier aborted");
+  if (aborted_) throw BarrierAborted();
   const std::uint64_t gen = generation_;
   if (++waiting_ == count_) {
     waiting_ = 0;
     ++generation_;
+    release_locked();
     cv_.notify_all();
     return;
   }
+  bus_.park(rank);
+  parked_.push_back(rank);
   cv_.wait(mu_, [&] {
     mu_.assert_held();
     return generation_ != gen || aborted_;
   });
-  if (generation_ == gen && aborted_) {
-    throw std::runtime_error("SMP barrier aborted");
-  }
+  if (generation_ == gen && aborted_) throw BarrierAborted();
 }
 
 void AbortableBarrier::abort() {
   support::MutexLock lock(mu_);
   aborted_ = true;
+  release_locked();
   cv_.notify_all();
 }
 
@@ -45,6 +47,11 @@ void AbortableBarrier::reset() {
   support::MutexLock lock(mu_);
   aborted_ = false;
   waiting_ = 0;
+}
+
+void AbortableBarrier::release_locked() {
+  for (int r : parked_) bus_.unpark(r);
+  parked_.clear();
 }
 
 RankContext::RankContext(Runtime& rt, int rank)
@@ -149,6 +156,14 @@ Message RankContext::recv_raw(int from, int tag) {
   return m;
 }
 
+MessageBus::Waited RankContext::wait_raw(int from, int tag,
+                                         bool wake_on_exit) {
+  MessageBus::Waited got = rt_.bus().wait(
+      rank_, from, tag + epoch_ * kEpochTagStride, wake_on_exit);
+  if (auto* m = std::get_if<Message>(&got)) m->tag -= epoch_ * kEpochTagStride;
+  return got;
+}
+
 std::optional<Message> RankContext::try_recv_raw(int from, int tag) {
   std::optional<Message> m =
       rt_.bus().try_recv(rank_, from, tag + epoch_ * kEpochTagStride);
@@ -160,12 +175,12 @@ void RankContext::smp_sync() {
   if (procs_per_smp() == 1) return;
   SmpShared& s = rt_.smp_shared(smp());
   s.clock_slots[static_cast<std::size_t>(local_rank())] = clock_.now();
-  s.barrier.arrive_and_wait();
+  s.barrier.arrive_and_wait(rank_);
   Microseconds mx = 0;
   for (int lr = 0; lr < procs_per_smp(); ++lr) {
     mx = std::max(mx, s.clock_slots[static_cast<std::size_t>(lr)]);
   }
-  s.barrier.arrive_and_wait();
+  s.barrier.arrive_and_wait(rank_);
   // Accounting is the caller's job (the comm primitives charge their
   // whole window once, which includes these sync advances).
   clock_.advance_to(mx);
@@ -252,12 +267,13 @@ Runtime::Runtime(MachineConfig cfg) : cfg_(cfg), bus_(cfg.nranks()) {
   // groups onto the largest butterfly core (see comm::Comm).
   smps_.reserve(static_cast<std::size_t>(cfg_.smp_count));
   for (int i = 0; i < cfg_.smp_count; ++i) {
-    smps_.push_back(std::make_unique<SmpShared>(cfg_.procs_per_smp));
+    smps_.push_back(std::make_unique<SmpShared>(cfg_.procs_per_smp, bus_));
   }
 }
 
 void Runtime::run(const std::function<void(RankContext&)>& body) {
   const int n = cfg_.nranks();
+  bus_.begin_run();
   for (auto& s : smps_) s->barrier.reset();
   acct_.assign(static_cast<std::size_t>(n), Accounting{});
   clocks_.assign(static_cast<std::size_t>(n), 0.0);
@@ -275,33 +291,46 @@ void Runtime::run(const std::function<void(RankContext&)>& body) {
         // driver thread below; nothing is swallowed.
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Release any sibling blocked on the SMP barrier.
-        if (cfg_.procs_per_smp > 1) {
-          smp_shared(ctx.smp()).barrier.abort();
-        }
       }
+      // An exited rank completes no further SMP crossing: release any
+      // sibling blocked on the barrier.  This must precede mark_exited,
+      // or the sibling would still count as waiting at the exit.
+      if (cfg_.procs_per_smp > 1) smp_shared(ctx.smp()).barrier.abort();
       acct_[static_cast<std::size_t>(r)] = ctx.accounting();
       clocks_[static_cast<std::size_t>(r)] = ctx.clock().now();
+      bus_.mark_exited(r);
     });
   }
   for (auto& t : threads) t.join();
-  // A NodeDown verdict is the root cause of an aborted epoch; sibling
-  // ranks unwinding through the poisoned bus or an aborted SMP barrier
-  // produce collateral runtime_errors.  Surface the verdict first.
-  for (auto& e : errors) {
-    if (!e) continue;
+
+  // Root cause first: a NodeDown verdict, then the lowest-rank error
+  // that is not collateral, then the lowest-rank collateral error (a
+  // rank unwinding only because a peer exited, the bus went quiescent
+  // or its SMP barrier was aborted).
+  const auto triage = [](const std::exception_ptr& e) {
     try {
       std::rethrow_exception(e);
     } catch (const NodeDownError&) {
-      throw;
-      // lint:allow(catch-all): triage pass ordering root cause above
-      // collateral errors; the loop below rethrows whatever remains.
+      return 0;
+    } catch (const CollateralError&) {
+      return 2;
+      // lint:allow(catch-all): classification only; the chosen error is
+      // rethrown below unchanged.
     } catch (...) {
+      return 1;
+    }
+  };
+  std::exception_ptr root;
+  int root_class = 3;
+  for (const auto& e : errors) {
+    if (!e) continue;
+    const int c = triage(e);
+    if (c < root_class) {
+      root_class = c;
+      root = e;
     }
   }
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (root) std::rethrow_exception(root);
 }
 
 Microseconds Runtime::max_clock() const {

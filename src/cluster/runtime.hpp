@@ -104,32 +104,46 @@ class Membership;
 // protocol tag spaces live far below this stride.
 inline constexpr int kEpochTagStride = 1 << 16;
 
-// A cyclic thread barrier that can be aborted: when a rank dies with an
-// exception, abort() wakes every sibling blocked in arrive_and_wait()
-// (they observe a runtime_error) instead of deadlocking the join.  It is
-// reusable across Runtime::run() invocations via reset().
+// Thrown by AbortableBarrier::arrive_and_wait once a sibling rank has
+// exited: the crossing can never complete.  Collateral, like PeerExited.
+struct BarrierAborted : CollateralError {
+  BarrierAborted() : CollateralError("SMP barrier aborted") {}
+};
+
+// A cyclic thread barrier that can be aborted: when a rank exits,
+// abort() wakes every sibling blocked in arrive_and_wait() (they throw
+// BarrierAborted) instead of deadlocking the join.  A waiting rank is
+// parked on the machine's bus, so a barrier wait counts toward the bus's
+// quiescence check.  It is reusable across Runtime::run() invocations
+// via reset().
 class AbortableBarrier {
  public:
-  explicit AbortableBarrier(int count) : count_(count) {}
+  AbortableBarrier(int count, MessageBus& bus) : bus_(bus), count_(count) {}
 
-  void arrive_and_wait();
+  void arrive_and_wait(int rank);
   void abort();
   void reset();
 
  private:
+  // Unpark every waiting rank on the bus (the releaser does it, so a
+  // released rank never counts as waiting while it wakes up).
+  void release_locked() REQUIRES(mu_);
+
   support::Mutex mu_;
   support::CondVar cv_;
+  MessageBus& bus_;
   const int count_;
   int waiting_ GUARDED_BY(mu_) = 0;
   std::uint64_t generation_ GUARDED_BY(mu_) = 0;
   bool aborted_ GUARDED_BY(mu_) = false;
+  std::vector<int> parked_ GUARDED_BY(mu_);
 };
 
 // Shared state for one SMP: a barrier across its ranks plus publication
 // slots used by the comm library for local reductions and aggregation.
 struct SmpShared {
-  explicit SmpShared(int procs)
-      : barrier(procs), slots_d(static_cast<std::size_t>(procs), 0.0),
+  SmpShared(int procs, MessageBus& bus)
+      : barrier(procs, bus), slots_d(static_cast<std::size_t>(procs), 0.0),
         slots_i(static_cast<std::size_t>(procs) * 2, 0),
         clock_slots(static_cast<std::size_t>(procs), 0.0) {}
   AbortableBarrier barrier;
@@ -191,6 +205,9 @@ class RankContext {
   // recovery_us) are taken from `m` as given.
   void send_msg(int to, Message m);
   Message recv_raw(int from, int tag);
+  // The bus's blocking wait (MessageBus::wait): returns peer exit and
+  // quiescence instead of throwing them.
+  MessageBus::Waited wait_raw(int from, int tag, bool wake_on_exit);
   // Non-blocking variant: returns the message if it has been posted,
   // nullopt otherwise.  Never advances the virtual clock -- arrival
   // *timing* is carried by stamp_us, so draining early keeps virtual
@@ -276,8 +293,13 @@ class Runtime {
   MessageBus& bus() { return bus_; }
   SmpShared& smp_shared(int smp) { return *smps_[static_cast<std::size_t>(smp)]; }
 
-  // Execute `body` on every rank (one std::thread each) and join.  Any
-  // exception thrown by a rank is rethrown here after all threads stop.
+  // Execute `body` on every rank (one std::thread each) and join.  A
+  // rank whose body returns or throws is marked exited on the bus (after
+  // its accounting and clock are captured), which wakes receivers
+  // waiting on it.  If any rank threw, one error is rethrown here after
+  // all threads stop, chosen by rank and never by host timing: a
+  // NodeDownError first, else the lowest-rank error that is not a
+  // CollateralError, else the lowest-rank collateral error.
   void run(const std::function<void(RankContext&)>& body);
 
   // Accounting snapshots captured at the end of the last run().

@@ -1,10 +1,9 @@
 #include "comm/reliable.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
+#include <variant>
 
 #include "cluster/membership.hpp"
 #include "cluster/trace.hpp"
@@ -14,15 +13,6 @@ namespace hyades::comm {
 namespace {
 // A NAK is one small control message back to the sender.
 constexpr int kNakPayloadBytes = 8;
-
-// Real-time patience while polling for a silent peer.  The grace period
-// filters transient thread-scheduling lag before the plan is consulted
-// about a scheduled fail-stop; the hard deadline turns a protocol bug
-// (waiting on a peer that is neither sending nor scheduled to die) into
-// a descriptive error instead of a hang.
-constexpr auto kDeadPeerGrace = std::chrono::milliseconds(50);
-constexpr auto kRecvDeadline = std::chrono::seconds(30);
-constexpr auto kRecvPollSleep = std::chrono::microseconds(50);
 }  // namespace
 
 void Reliable::send(int to, int tag, std::vector<double> data,
@@ -219,44 +209,29 @@ cluster::Message Reliable::recv(int from, int tag) {
 
   // Node kills are scheduled: a blocking receive is a communication
   // point (this rank may be due to die here) and must not hang on a
-  // peer that fail-stopped.  Poll the bus; on sustained silence ask the
-  // membership service whether the plan explains it, and escalate to
-  // the collective NodeDown verdict instead of waiting out the bus's
-  // real-time watchdog.
+  // peer that fail-stopped.  The bus wakes this wait when the peer exits
+  // or when every live rank is waiting; either way, with the queue
+  // empty, ask the membership service whether the plan explains the
+  // silence, and escalate to the collective NodeDown verdict if it does.
   ms->maybe_fail_self();
-  // lint:allow(wall-clock): hang-detection watchdog for a fail-stopped
-  // peer; bounds host wait only, never feeds simulated timestamps.
-  const auto started = std::chrono::steady_clock::now();
-  auto empty_since = started;
-  bool was_empty = false;
+  bool wake_on_exit = true;
   for (;;) {
-    std::optional<cluster::Message> m = ctx_.try_recv_raw(from, tag);
-    if (m) {
-      was_empty = false;
+    cluster::MessageBus::Waited got = ctx_.wait_raw(from, tag, wake_on_exit);
+    if (auto* m = std::get_if<cluster::Message>(&got)) {
       ms->note_alive(from, m->stamp_us);
       std::optional<cluster::Message> good = accept(std::move(*m), from, tag);
       if (good) return std::move(*good);
       continue;
     }
-    // lint:allow(wall-clock): same watchdog; real time bounds the poll
-    // loop, virtual time is untouched.
-    const auto now = std::chrono::steady_clock::now();
-    if (!was_empty) {
-      was_empty = true;
-      empty_since = now;
+    if (const cluster::NodeKill* kill = ms->killed_peer(from)) {
+      ms->escalate(from, *kill);  // throws NodeDownError
     }
-    if (now - empty_since >= kDeadPeerGrace) {
-      if (const cluster::NodeKill* kill = ms->killed_peer(from)) {
-        ms->escalate(from, *kill);  // throws NodeDownError
-      }
+    if (auto* deadlock = std::get_if<cluster::DeadlockError>(&got)) {
+      throw std::move(*deadlock);
     }
-    if (now - started >= kRecvDeadline) {
-      throw std::runtime_error(
-          "reliable recv: rank " + std::to_string(ctx_.rank()) +
-          " timed out waiting for rank " + std::to_string(from) + " tag " +
-          std::to_string(tag) + " (peer silent but not scheduled to die)");
-    }
-    std::this_thread::sleep_for(kRecvPollSleep);
+    // The peer exited and no kill explains it: keep waiting for a
+    // message, poison or quiescence (which asks the plan once more).
+    wake_on_exit = false;
   }
 }
 

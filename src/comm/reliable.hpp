@@ -38,11 +38,15 @@
 //   * a dead inter-SMP link (FaultPlan::link_kills) adds the
 //     route-around penalty to the arrival stamp and flags the message,
 //     so the receiver can attribute the detour (reroute_us bucket);
-//   * a blocking recv from a silent peer does not burn the retry budget
-//     or the bus's 30 s real-time watchdog: once the plan confirms the
-//     peer's scheduled fail-stop, the receiver escalates to the
-//     membership service, which publishes the collective NodeDown
-//     verdict (poisons the bus) and unwinds this epoch.
+//   * a blocking recv waits on the bus with no real-time limit and
+//     wakes only on an event: a message, bus poison, the peer's exit,
+//     or quiescence (every live rank waiting, so no send can ever
+//     happen).  On peer exit or quiescence with the queue empty it asks
+//     the membership service whether the plan's scheduled fail-stop
+//     explains the silence; if so the service publishes the collective
+//     NodeDown verdict (poisons the bus) and unwinds this epoch.  A
+//     quiescent wait that no kill explains throws DeadlockError naming
+//     every wait-for edge.
 #pragma once
 
 #include <cstdint>

@@ -348,11 +348,9 @@ ResilientStats run_resilient(cluster::Runtime& rt, const ModelConfig& mcfg,
           if (rcfg.on_complete) rcfg.on_complete(ctx, model);
         } catch (const cluster::RankFailStop&) {
           // This rank's node fail-stopped at a communication point: go
-          // silent.  Wake an SMP sibling blocked on the shared barrier;
-          // survivors detect the silence through the membership service.
-          if (ctx.procs_per_smp() > 1) {
-            rt.smp_shared(ctx.smp()).barrier.abort();
-          }
+          // silent.  Its exit aborts the SMP barrier and wakes receivers
+          // waiting on it; survivors ask the membership service whether
+          // the plan explains the silence.
         } catch (const cluster::NodeDownError&) {
           throw;  // collective epoch abort; Runtime::run surfaces it first
         } catch (const std::runtime_error&) {

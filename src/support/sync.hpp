@@ -74,13 +74,6 @@ class CondVar {
     cv_.wait(mu, pred);
   }
 
-  // Returns false if `dur` elapsed with the predicate still false.
-  template <typename Rep, typename Period, typename Predicate>
-  bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& dur,
-                Predicate pred) REQUIRES(mu) {
-    return cv_.wait_for(mu, dur, pred);
-  }
-
  private:
   std::condition_variable_any cv_;
 };

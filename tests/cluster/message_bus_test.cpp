@@ -53,9 +53,27 @@ TEST(MessageBus, RecvBlocksUntilSend) {
   sender.join();
 }
 
-TEST(MessageBus, TimeoutThrows) {
+TEST(MessageBus, PeerExitThrows) {
+  // A receive from an exited rank with nothing queued can never
+  // complete: it throws at once instead of waiting on the host clock.
   MessageBus bus(2);
-  EXPECT_THROW(bus.recv(1, 0, 3, /*timeout_ms=*/30), std::runtime_error);
+  bus.mark_exited(0);
+  try {
+    (void)bus.recv(1, 0, 3);
+    FAIL() << "expected PeerExited";
+  } catch (const PeerExited& e) {
+    EXPECT_EQ(e.rank, 1);
+    EXPECT_EQ(e.from, 0);
+    EXPECT_EQ(e.tag, 3);
+  }
+}
+
+TEST(MessageBus, PeerExitDeliversQueuedMessagesFirst) {
+  MessageBus bus(2);
+  bus.send(1, Message{0, 3, {7.0}, 0});
+  bus.mark_exited(0);
+  EXPECT_DOUBLE_EQ(bus.recv(1, 0, 3).data[0], 7.0);
+  EXPECT_THROW((void)bus.recv(1, 0, 3), PeerExited);
 }
 
 TEST(MessageBus, Poll) {
