@@ -106,17 +106,6 @@ MessageBus::Waited MessageBus::wait(int me, int from, int tag,
   return Waited(std::move(*quiesced));
 }
 
-std::optional<Message> MessageBus::try_recv(int me, int from, int tag) {
-  if (down()) throw NodeDownError(down_verdict());
-  Mailbox& box = *boxes_.at(static_cast<std::size_t>(me));
-  support::MutexLock lock(box.mu);
-  auto it = box.queues.find({from, tag});
-  if (it == box.queues.end() || it->second.empty()) return std::nullopt;
-  Message m = std::move(it->second.front());
-  it->second.pop_front();
-  return m;
-}
-
 void MessageBus::declare_down(const NodeDownVerdict& verdict) {
   {
     support::MutexLock lock(verdict_mu_);

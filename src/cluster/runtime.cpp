@@ -164,13 +164,6 @@ MessageBus::Waited RankContext::wait_raw(int from, int tag,
   return got;
 }
 
-std::optional<Message> RankContext::try_recv_raw(int from, int tag) {
-  std::optional<Message> m =
-      rt_.bus().try_recv(rank_, from, tag + epoch_ * kEpochTagStride);
-  if (m.has_value()) m->tag -= epoch_ * kEpochTagStride;
-  return m;
-}
-
 void RankContext::smp_sync() {
   if (procs_per_smp() == 1) return;
   SmpShared& s = rt_.smp_shared(smp());

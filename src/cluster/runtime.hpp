@@ -208,11 +208,6 @@ class RankContext {
   // The bus's blocking wait (MessageBus::wait): returns peer exit and
   // quiescence instead of throwing them.
   MessageBus::Waited wait_raw(int from, int tag, bool wake_on_exit);
-  // Non-blocking variant: returns the message if it has been posted,
-  // nullopt otherwise.  Never advances the virtual clock -- arrival
-  // *timing* is carried by stamp_us, so draining early keeps virtual
-  // time deterministic regardless of real thread scheduling.
-  std::optional<Message> try_recv_raw(int from, int tag);
 
   // SMP-local coordination: barrier over the SMP's ranks, with the
   // shared-memory cost applied and clocks synchronized to the local max.

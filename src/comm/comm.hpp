@@ -22,28 +22,23 @@
 //     commutative combine), which the CG solver's convergence test
 //     requires.
 //
-//   split-phase operation
-//     Both primitives also come in start/test/finish form so callers can
-//     overlap communication with computation.  exchange_start posts the
-//     four phases' sends up front (the CPU pays only the injection
-//     overhead per bulk transfer; the bytes ride the SMP's NIU, whose
-//     occupancy is tracked on a separate timeline); exchange_finish
-//     drains the receives under the overlap rule
+//   split-phase exchange
+//     The exchange also comes in start/finish form so the stepper can
+//     overlap halo traffic with computation (ModelConfig::overlap_comm).
+//     exchange_start posts the four phases' sends up front (the CPU pays
+//     only the injection overhead per bulk transfer; the bytes ride the
+//     SMP's NIU, whose occupancy is tracked on a separate timeline);
+//     exchange_finish drains the receives under the overlap rule
 //         t_finish = max(t_local, t_arrival)
 //     so communication time already covered by computation is credited to
 //     the Accounting's overlap_us bucket instead of being charged twice.
-//     global_sum_start performs the SMP-local combine and posts the first
-//     butterfly round; global_sum_finish completes the remaining rounds,
-//     hiding the first round's latency behind whatever computation ran in
-//     between.  The blocking calls are implemented as start+finish of an
-//     interleaved mode whose concatenation is exactly the classic
-//     synchronous algorithm, so blocking timing is bit-identical to the
-//     paper-calibrated library.
+//     The blocking exchange runs the classic synchronous algorithm, phase
+//     by phase, so its timing stays the paper-calibrated library's.
 //
 //     Collective discipline: all ranks of the group must start and finish
 //     the same collectives in the same order (exchange finishes may be
 //     reordered among in-flight exchanges -- each handle carries its own
-//     tag sequence -- but global-sum finishes must follow start order).
+//     tag sequence).
 //
 // A Comm may span a contiguous sub-range of ranks so that coupled runs
 // can give each isomorph half the machine (Section 5.1).
@@ -51,7 +46,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cluster/runtime.hpp"
@@ -101,7 +95,6 @@ class ExchangeHandle {
 
  private:
   friend class Comm;
-  enum class Mode { kInterleaved, kPipelined };
 
   struct Phase {
     int nb_out = -1, nb_in = -1;
@@ -110,41 +103,10 @@ class ExchangeHandle {
     std::int64_t smp_out = 0, smp_in = 0;  // SMP-aggregated bytes
   };
 
-  Mode mode_ = Mode::kPipelined;
-  std::array<int, kDirections> nb_{{-1, -1, -1, -1}};
   Buffers* buf_ = nullptr;
   std::uint64_t seq_ = 0;  // tag-sequencing id (kTagXchgBase offset)
   std::array<Phase, kDirections> phase_;
-  std::array<std::optional<cluster::Message>, kDirections> arrived_;
-  Microseconds t_begin = 0;      // clock at exchange_start entry
   Microseconds t_start_end = 0;  // clock at exchange_start exit
-  Microseconds t_phase0 = 0;     // interleaved: phase-0 send-complete time
-};
-
-// In-flight global reduction (sum or max).  Like ExchangeHandle,
-// abandoning an active handle is detected by the destructor.
-class GsumHandle {
- public:
-  GsumHandle() = default;
-  ~GsumHandle();
-  GsumHandle(const GsumHandle&) = delete;
-  GsumHandle& operator=(const GsumHandle&) = delete;
-  GsumHandle(GsumHandle&& o) noexcept;
-  GsumHandle& operator=(GsumHandle&& o) noexcept;
-
-  [[nodiscard]] bool valid() const { return active_; }
-
- private:
-  friend class Comm;
-  enum class Op { kSum, kMax };
-
-  std::vector<double> v_;
-  Op op_ = Op::kSum;
-  int salt_ = 0;  // per-handle tag salt
-  bool active_ = false;
-  bool blocking_ = false;  // part of a blocking call (trace/record shape)
-  Microseconds t_begin = 0;
-  Microseconds t_start_end = 0;
 };
 
 class Comm {
@@ -169,18 +131,9 @@ class Comm {
   double global_max(double x);
   // Pure synchronization: a payload-free pass over the same butterfly
   // network, with the same per-round costs as a global sum but its own
-  // tag space and counter -- barriers neither consume global-sum tag
-  // sequence numbers nor pollute gsums_done() statistics.
+  // tag space and counter, so barriers do not pollute gsums_done()
+  // statistics.
   void barrier();
-
-  // ---- split-phase global sum -----------------------------------------
-  // Start the SMP-local combine and the first butterfly round; finish
-  // completes the reduction and returns the result vector (identical on
-  // every rank).  Finishes must be called in start order on all ranks.
-  GsumHandle global_sum_start(std::vector<double> xs);
-  GsumHandle global_sum_start(double x);
-  GsumHandle global_max_start(double x);
-  std::vector<double> global_sum_finish(GsumHandle& h);
 
   // ---- halo exchange ---------------------------------------------------
   using Buffers = hyades::comm::Buffers;
@@ -196,10 +149,6 @@ class Comm {
   // must be finished exactly once.
   ExchangeHandle exchange_start(const std::array<int, kDirections>& neighbors,
                                 Buffers& buf);
-  // Non-blocking progress probe: drains strips that have already arrived
-  // into the handle and reports whether all inbound strips are present.
-  // Never advances the virtual clock (timing stays deterministic).
-  bool exchange_test(ExchangeHandle& h);
   // Complete the exchange: unpack inbound strips under the overlap rule
   // t_finish = max(t_local, t_arrival); hidden communication is credited
   // to Accounting::overlap_us.
@@ -223,34 +172,40 @@ class Comm {
   }
   [[nodiscard]] bool remote(int group_rank) const;
 
-  // Shared helpers of the blocking and split-phase paths.
+  // Shared helpers of the blocking and split-phase exchanges.
   void validate_neighbors(const std::array<int, kDirections>& neighbors) const;
+  // Draw the next exchange tag slot (throws if it is still held); the
+  // release counts the exchange as done and frees its slot.
+  std::uint64_t take_xchg_slot();
+  void release_xchg_slot(std::uint64_t seq);
   ExchangeHandle::Phase plan_phase(int d,
                                    const std::array<int, kDirections>& nb,
                                    const Buffers& buf);
   void run_seed_phase(const ExchangeHandle::Phase& p, int d,
                       std::uint64_t seq, Buffers& buf);
-  ExchangeHandle exchange_start_mode(
-      const std::array<int, kDirections>& neighbors, Buffers& buf,
-      ExchangeHandle::Mode mode);
   [[nodiscard]] int xchg_tag(std::uint64_t seq, int d) const;
 
   // Largest power of two <= n: the butterfly "core" over which the
   // recursive-doubling rounds run; SMPs beyond it fold in/out.
   static int butterfly_core(int n);
-  GsumHandle reduce_start(std::vector<double> v, GsumHandle::Op op,
-                          bool blocking);
-  void reduce_finish(GsumHandle& h);
+  // The one reduction schedule (SMP combine, fold, butterfly, fold-back,
+  // distribution) behind global_sum, global_max and barrier, over the tag
+  // space [tag_base, tag_base + rounds + 1] plus tag_local.  Reduces `v`
+  // in place; every rank ends with the bitwise-identical result.
+  enum class Op { kSum, kMax };
+  void reduce(std::vector<double>& v, Op op, int tag_base, int tag_local);
+  // global_sum / global_max: reduce in the global-sum tag space, counted
+  // in gsums_done() and traced as one kGsum span.
+  void global_reduce(std::vector<double>& v, Op op);
   static void combine_into(std::vector<double>& a,
-                           const std::vector<double>& b, GsumHandle::Op op);
+                           const std::vector<double>& b, Op op);
 
-  // Rotating tag-window sizes: a started exchange / global sum draws the
-  // next slot; the slot is released when the handle finishes.  Starting a
-  // collective whose slot is still held by an unfinished (or abandoned)
+  // Rotating exchange tag window: a started exchange draws the next
+  // slot; the slot is released when the exchange finishes.  Starting an
+  // exchange whose slot is still held by an unfinished (or abandoned)
   // handle throws -- a wrapped slot would silently interleave two
   // handles' messages on one (source, tag) stream.
   static constexpr int kXchgWindow = 64;
-  static constexpr int kGsumWindow = 4;
 
   cluster::RankContext& ctx_;
   // All bulk transport goes through the end-to-end reliability layer;
@@ -261,10 +216,8 @@ class Comm {
   std::uint64_t xchg_seq_ = 0;      // completed exchanges
   std::uint64_t xchg_started_ = 0;  // started exchanges (tag sequencing)
   std::uint64_t gsum_seq_ = 0;
-  std::uint64_t gsum_started_ = 0;
   std::uint64_t barrier_seq_ = 0;
   std::array<bool, kXchgWindow> xchg_slot_busy_{};
-  std::array<bool, kGsumWindow> gsum_slot_busy_{};
   // SMP NIU occupancy frontier for pipelined transfers: bulk bytes ride
   // the NIU while the CPU computes; successive transfers serialize on it
   // (one transfer saturates the PCI bus, Section 4.1).

@@ -109,11 +109,6 @@ class Reliable {
   // cost and records the kFault span.
   cluster::Message recv(int from, int tag);
 
-  // Non-blocking variant: drains any ghosts already queued; returns the
-  // good message if present, nullopt otherwise.  Never advances the
-  // virtual clock.
-  std::optional<cluster::Message> try_recv(int from, int tag);
-
   [[nodiscard]] const ReliableStats& stats() const { return stats_; }
 
  private:

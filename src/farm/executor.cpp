@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "cluster/runtime.hpp"
@@ -18,8 +19,10 @@ namespace {
 // Sum the cost side of the outcome out of the runtime's last run(),
 // valid for completed and aborted runs alike (Runtime::run captures
 // per-rank accounting even when a rank unwound with an exception).
-void charge_costs(const cluster::Runtime& rt, JobResult* r) {
-  r->busy_us = rt.max_clock();
+// `busy_us` is the member's virtual occupancy of its cluster.
+void charge_costs(const cluster::Runtime& rt, Microseconds busy_us,
+                  JobResult* r) {
+  r->busy_us = busy_us;
   r->retransmits = 0;
   r->restarts = 0;
   for (const cluster::Accounting& a : rt.accounting()) {
@@ -72,6 +75,18 @@ ExecutionOutcome execute_job(const JobSpec& spec,
         out.result.mean_theta = mt;
       }
     };
+    // A member that gives up is charged up to its last verdict's
+    // detection stamp, a pure function of the fault plan.  The aborted
+    // epoch's rank clocks are not: each stopped wherever its thread was
+    // when the bus poison reached it.
+    std::optional<Microseconds> gave_up_at;
+    const auto fail = [&](const std::runtime_error& e) {
+      // A failed member with full context in the message, not a failed
+      // farm.  Nothing is kept: every epoch aborted.
+      out.ok = false;
+      out.error = e.what();
+      out.result.steps_committed = 0;
+    };
     try {
       const gcm::ResilientStats st =
           gcm::run_resilient(rt, spec.config, spec.steps, rcfg);
@@ -82,18 +97,16 @@ ExecutionOutcome execute_job(const JobSpec& spec,
       for (const gcm::RecoveryEvent& ev : st.ladder) {
         out.result.downgrades += ev.downgrades();
       }
-    } catch (const gcm::RecoveryError& e) {
-      // Typed give-up (RestartExhausted, RecoveryExhausted): a failed
-      // member with full context in the message, not a failed farm.
-      out.ok = false;
-      out.error = e.what();
-      out.result.steps_committed = 0;  // every epoch aborted: nothing kept
+    } catch (const gcm::RestartExhausted& e) {
+      fail(e);
+      gave_up_at = e.last_verdict.detected_us;
+    } catch (const gcm::RecoveryExhausted& e) {
+      fail(e);
+      gave_up_at = e.verdict.detected_us;
     } catch (const std::runtime_error& e) {
-      out.ok = false;
-      out.error = e.what();
-      out.result.steps_committed = 0;
+      fail(e);
     }
-    charge_costs(rt, &out.result);
+    charge_costs(rt, gave_up_at.value_or(rt.max_clock()), &out.result);
     gcm::tile_ckpt::remove_slots(scratch_prefix, mc.nranks());
     return out;
   }
@@ -123,7 +136,7 @@ ExecutionOutcome execute_job(const JobSpec& spec,
     out.result.steps_committed = 0;
     out.result.rollbacks = 0;
   }
-  charge_costs(rt, &out.result);
+  charge_costs(rt, rt.max_clock(), &out.result);
   return out;
 }
 

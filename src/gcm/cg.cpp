@@ -100,14 +100,13 @@ CgResult cg_solve(comm::Comm& comm, const Decomp& dec,
   // iteration's flops as counter payload.  Recording never touches the
   // clock, so tracing leaves solver timing bit-identical.
   cluster::Tracer* tracer = comm.ctx().tracer();
-  const auto record_iter = [&](Microseconds t_it, double fl0, int it) {
+  const auto record_iter = [&](Microseconds t_it, double fl0) {
     if (tracer == nullptr) return;
     cluster::SpanCounters ctr;
     ctr.flops = res.flops - fl0;
     ctr.cg_iterations = 1;
     tracer->record("ds_cg_iter", cluster::SpanCat::kSolver, t_it,
                    comm.ctx().clock().now(), ctr);
-    (void)it;
   };
 
   for (int it = 0; it < max_iter; ++it) {
@@ -149,7 +148,7 @@ CgResult cg_solve(comm::Comm& comm, const Decomp& dec,
     if (std::sqrt(rr_new) <= target) {
       res.converged = true;
       res.residual = std::sqrt(rr_new);
-      record_iter(t_it, fl_it0, it);
+      record_iter(t_it, fl_it0);
       return res;
     }
     const double beta = rz_new / rz;
@@ -157,7 +156,7 @@ CgResult cg_solve(comm::Comm& comm, const Decomp& dec,
     xpay_interior(dec, z, beta, d);
     res.flops += 2.0 * cells;
     res.residual = std::sqrt(rr_new);
-    record_iter(t_it, fl_it0, it);
+    record_iter(t_it, fl_it0);
   }
   return res;
 }

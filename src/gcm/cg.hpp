@@ -1,12 +1,15 @@
-// Jacobi-preconditioned conjugate gradients with the paper's per-
-// iteration communication structure: one 2-D halo-1 exchange (on the
-// search direction) and two global sums (Section 4: "the iterative
+// Preconditioned conjugate gradients with the paper's per-iteration
+// communication structure: one 2-D halo-1 exchange (on the search
+// direction) and two global sums (Section 4: "the iterative
 // solver requires an exchange to be applied to two fields at every
 // solver iteration ... Two global sum operations are required at every
 // solver iteration").
 //
-// All dot products are reduced through Comm::global_sum, so every rank
-// sees bitwise-identical convergence decisions.
+// The default preconditioner averages tile-local zonal and meridional
+// tridiagonal line solves (CgPrecond::kZonalLine); plain Jacobi is kept
+// for the solver ablation.  All dot products are reduced through
+// Comm::global_sum, so every rank sees bitwise-identical convergence
+// decisions.
 #pragma once
 
 #include <stdexcept>
@@ -36,14 +39,15 @@ struct SolverDivergence : std::runtime_error {
 
 struct CgResult {
   int iterations = 0;
-  double residual = 0.0;       // sqrt(<r, M^-1 r>) at exit
-  double rhs_norm = 0.0;       // initial preconditioned norm
+  double residual = 0.0;       // sqrt(<r, r>) at exit
+  double rhs_norm = 0.0;       // sqrt(<b, b>): the tolerance's scale
   bool converged = false;
   double flops = 0.0;          // local flops spent in the solve
 };
 
 enum class CgPrecond {
-  kZonalLine,  // tile-local tridiagonal-in-x (production default)
+  kZonalLine,  // mean of tile-local x- and y-line tridiagonal solves
+               // (production default)
   kJacobi,     // diagonal scaling (kept for the solver ablation)
 };
 

@@ -37,8 +37,9 @@ class EllipticOperator {
   // Returns the flops performed.
   double apply(const Array2D<double>& p, Array2D<double>& out) const;
 
-  // z = M^-1 r over the interior (z = 0 on land), where M is the
-  // tile-local zonal tridiagonal part of L.  Returns flops.
+  // z = (Mx^-1 r + My^-1 r) / 2 over the interior (z = 0 on land),
+  // where Mx and My are the tile-local zonal and meridional tridiagonal
+  // parts of L.  Returns flops.
   double precondition(const Array2D<double>& r, Array2D<double>& z) const;
 
   // z = r / diag(L): the plain Jacobi alternative (kept for the solver

@@ -6,14 +6,50 @@ namespace hyades::gcm {
 
 namespace {
 
-// Generic packer over a rectangular (i, j) window and nz levels.
+// An (i, j) cell window [i0, i1) x [j0, j1), over every level.
+struct Window {
+  int i0, i1, j0, j1;
+  [[nodiscard]] std::size_t cells(int nz) const {
+    return static_cast<std::size_t>((i1 - i0) * (j1 - j0) * nz);
+  }
+};
+
+// The edge strip a tile sends toward direction d, and the halo strip
+// that direction d's neighbour fills.  East/west strips span the
+// interior rows; north/south strips span the x-extended rows, so the
+// second stage carries the corners the first stage filled.
+struct Strip {
+  Window send, recv;
+};
+
+Strip strip(const Decomp& dec, int width, int d) {
+  const int h = dec.halo;
+  const int ie = h + dec.snx;  // one past the interior in x
+  const int je = h + dec.sny;
+  const int xi0 = h - width;
+  const int xi1 = ie + width;
+  switch (d) {
+    case comm::kEast:
+      return {{ie - width, ie, h, je}, {ie, ie + width, h, je}};
+    case comm::kWest:
+      return {{h, h + width, h, je}, {h - width, h, h, je}};
+    case comm::kNorth:
+      return {{xi0, xi1, je - width, je}, {xi0, xi1, je, je + width}};
+    default:
+      return {{xi0, xi1, h, h + width}, {xi0, xi1, h - width, h}};
+  }
+}
+
+// Stage 0 moves the east/west strips, stage 1 the north/south ones.
+constexpr std::array<std::array<int, 2>, 2> kStageDirs{
+    {{comm::kEast, comm::kWest}, {comm::kNorth, comm::kSouth}}};
+
 template <typename FieldT>
-void pack(const FieldT& f, int i0, int i1, int j0, int j1, int nz,
-          std::vector<double>& out) {
+void pack(const FieldT& f, const Window& w, int nz, std::vector<double>& out) {
   out.clear();
-  out.reserve(static_cast<std::size_t>((i1 - i0) * (j1 - j0) * nz));
-  for (int i = i0; i < i1; ++i) {
-    for (int j = j0; j < j1; ++j) {
+  out.reserve(w.cells(nz));
+  for (int i = w.i0; i < w.i1; ++i) {
+    for (int j = w.j0; j < w.j1; ++j) {
       for (int k = 0; k < nz; ++k) {
         out.push_back(f(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
                         static_cast<std::size_t>(k)));
@@ -23,16 +59,53 @@ void pack(const FieldT& f, int i0, int i1, int j0, int j1, int nz,
 }
 
 template <typename FieldT>
-void unpack(FieldT& f, int i0, int i1, int j0, int j1, int nz,
-            const std::vector<double>& in) {
+void unpack(FieldT& f, const Window& w, int nz, const std::vector<double>& in) {
   std::size_t n = 0;
-  for (int i = i0; i < i1; ++i) {
-    for (int j = j0; j < j1; ++j) {
+  for (int i = w.i0; i < w.i1; ++i) {
+    for (int j = w.j0; j < w.j1; ++j) {
       for (int k = 0; k < nz; ++k) {
         f(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
           static_cast<std::size_t>(k)) = in[n++];
       }
     }
+  }
+}
+
+// Refill `buf` with one stage's outbound strips and size its inbound
+// ones; returns the stage's neighbour set (-1 for the other stage's
+// directions and for missing neighbours).
+template <typename FieldT>
+std::array<int, comm::kDirections> pack_stage(const FieldT& f,
+                                              const Decomp& dec, int width,
+                                              int nz, int stage,
+                                              comm::Buffers& buf) {
+  buf = comm::Buffers{};
+  std::array<int, comm::kDirections> nb{-1, -1, -1, -1};
+  for (const int d : kStageDirs[static_cast<std::size_t>(stage)]) {
+    const auto di = static_cast<std::size_t>(d);
+    nb[di] = dec.neighbors[di];
+    if (nb[di] < 0) continue;
+    const Strip s = strip(dec, width, d);
+    pack(f, s.send, nz, buf.out[di]);
+    buf.in[di].resize(s.recv.cells(nz));
+  }
+  return nb;
+}
+
+template <typename FieldT>
+void unpack_stage(FieldT& f, const Decomp& dec, int width, int nz, int stage,
+                  const comm::Buffers& buf) {
+  for (const int d : kStageDirs[static_cast<std::size_t>(stage)]) {
+    const auto di = static_cast<std::size_t>(d);
+    if (dec.neighbors[di] >= 0) {
+      unpack(f, strip(dec, width, d).recv, nz, buf.in[di]);
+    }
+  }
+}
+
+void check_width(const Decomp& dec, int width) {
+  if (width < 1 || width > dec.halo) {
+    throw std::invalid_argument("halo exchange: width must be in [1, halo]");
   }
 }
 
@@ -46,71 +119,17 @@ struct Flat2D {
     return a(i, j);
   }
 };
-struct ConstFlat2D {
-  const Array2D<double>& a;
-  double operator()(std::size_t i, std::size_t j, std::size_t) const {
-    return a(i, j);
-  }
-};
 
-template <typename ConstF, typename MutF>
-void exchange_impl(comm::Comm& comm, const Decomp& dec, const ConstF& cf,
-                   MutF& mf, int nz, int width) {
-  if (width < 1 || width > dec.halo) {
-    throw std::invalid_argument("exchange: width must be in [1, halo]");
-  }
-  const int h = dec.halo;
-  const int ie = h + dec.snx;  // one past the interior in x
-  const int je = h + dec.sny;
-
-  using comm::kEast;
-  using comm::kNorth;
-  using comm::kSouth;
-  using comm::kWest;
-
-  // Stage 1: east/west strips over interior rows.
-  {
-    std::array<int, comm::kDirections> nb{dec.neighbors[kEast],
-                                          dec.neighbors[kWest], -1, -1};
-    comm::Comm::Buffers buf;
-    if (nb[kEast] >= 0) {
-      pack(cf, ie - width, ie, h, je, nz, buf.out[kEast]);
-      buf.in[kEast].resize(static_cast<std::size_t>(width * dec.sny * nz));
-    }
-    if (nb[kWest] >= 0) {
-      pack(cf, h, h + width, h, je, nz, buf.out[kWest]);
-      buf.in[kWest].resize(static_cast<std::size_t>(width * dec.sny * nz));
-    }
+template <typename FieldT>
+void exchange_impl(comm::Comm& comm, const Decomp& dec, FieldT& f, int nz,
+                   int width) {
+  check_width(dec, width);
+  comm::Buffers buf;
+  for (int stage = 0; stage < 2; ++stage) {
+    const std::array<int, comm::kDirections> nb =
+        pack_stage(f, dec, width, nz, stage, buf);
     comm.exchange(nb, buf);
-    if (nb[kEast] >= 0) unpack(mf, ie, ie + width, h, je, nz, buf.in[kEast]);
-    if (nb[kWest] >= 0) unpack(mf, h - width, h, h, je, nz, buf.in[kWest]);
-  }
-
-  // Stage 2: north/south strips over the x-extended rows, so corners are
-  // carried along.
-  {
-    const int xi0 = h - width;
-    const int xi1 = ie + width;
-    std::array<int, comm::kDirections> nb{-1, -1, dec.neighbors[kNorth],
-                                          dec.neighbors[kSouth]};
-    comm::Comm::Buffers buf;
-    const auto strip =
-        static_cast<std::size_t>((xi1 - xi0) * width * nz);
-    if (nb[kNorth] >= 0) {
-      pack(cf, xi0, xi1, je - width, je, nz, buf.out[kNorth]);
-      buf.in[kNorth].resize(strip);
-    }
-    if (nb[kSouth] >= 0) {
-      pack(cf, xi0, xi1, h, h + width, nz, buf.out[kSouth]);
-      buf.in[kSouth].resize(strip);
-    }
-    comm.exchange(nb, buf);
-    if (nb[kNorth] >= 0) {
-      unpack(mf, xi0, xi1, je, je + width, nz, buf.in[kNorth]);
-    }
-    if (nb[kSouth] >= 0) {
-      unpack(mf, xi0, xi1, h - width, h, nz, buf.in[kSouth]);
-    }
+    unpack_stage(f, dec, width, nz, stage, buf);
   }
 }
 
@@ -118,105 +137,43 @@ void exchange_impl(comm::Comm& comm, const Decomp& dec, const ConstF& cf,
 
 void exchange3d(comm::Comm& comm, const Decomp& dec, Array3D<double>& f,
                 int width) {
-  exchange_impl(comm, dec, f, f, static_cast<int>(f.nz()), width);
+  exchange_impl(comm, dec, f, static_cast<int>(f.nz()), width);
 }
 
 void exchange2d(comm::Comm& comm, const Decomp& dec, Array2D<double>& f,
                 int width) {
-  const ConstFlat2D cf{f};
-  Flat2D mf{f};
-  exchange_impl(comm, dec, cf, mf, 1, width);
+  Flat2D flat{f};
+  exchange_impl(comm, dec, flat, 1, width);
 }
 
 HaloExchange3::HaloExchange3(comm::Comm& comm, const Decomp& dec,
                              Array3D<double>& f, int width)
-    : comm_(&comm), dec_(&dec), f_(&f), width_(width) {
-  if (width < 1 || width > dec.halo) {
-    throw std::invalid_argument("HaloExchange3: width must be in [1, halo]");
-  }
+    : comm_(comm), dec_(dec), f_(f), width_(width) {
+  check_width(dec, width);
 }
 
 void HaloExchange3::start() {
   if (stage_ != 0) throw std::logic_error("HaloExchange3: start() twice");
-  const Decomp& dec = *dec_;
-  const int h = dec.halo;
-  const int ie = h + dec.snx;
-  const int je = h + dec.sny;
-  const int nz = static_cast<int>(f_->nz());
-  using comm::kEast;
-  using comm::kWest;
-
-  const std::array<int, comm::kDirections> nb{dec.neighbors[kEast],
-                                              dec.neighbors[kWest], -1, -1};
-  if (nb[kEast] >= 0) {
-    pack(*f_, ie - width_, ie, h, je, nz, buf_.out[kEast]);
-    buf_.in[kEast].resize(static_cast<std::size_t>(width_ * dec.sny * nz));
-  }
-  if (nb[kWest] >= 0) {
-    pack(*f_, h, h + width_, h, je, nz, buf_.out[kWest]);
-    buf_.in[kWest].resize(static_cast<std::size_t>(width_ * dec.sny * nz));
-  }
-  h_ = comm_->exchange_start(nb, buf_);
+  const std::array<int, comm::kDirections> nb =
+      pack_stage(f_, dec_, width_, nz(), 0, buf_);
+  h_ = comm_.exchange_start(nb, buf_);
   stage_ = 1;
 }
 
 void HaloExchange3::progress() {
   if (stage_ != 1) throw std::logic_error("HaloExchange3: progress() order");
-  const Decomp& dec = *dec_;
-  const int h = dec.halo;
-  const int ie = h + dec.snx;
-  const int je = h + dec.sny;
-  const int nz = static_cast<int>(f_->nz());
-  using comm::kEast;
-  using comm::kNorth;
-  using comm::kSouth;
-  using comm::kWest;
-
-  comm_->exchange_finish(h_);
-  if (dec.neighbors[kEast] >= 0) {
-    unpack(*f_, ie, ie + width_, h, je, nz, buf_.in[kEast]);
-  }
-  if (dec.neighbors[kWest] >= 0) {
-    unpack(*f_, h - width_, h, h, je, nz, buf_.in[kWest]);
-  }
-
-  const int xi0 = h - width_;
-  const int xi1 = ie + width_;
-  const std::array<int, comm::kDirections> nb{-1, -1, dec.neighbors[kNorth],
-                                              dec.neighbors[kSouth]};
-  buf_ = comm::Buffers{};
-  const auto strip = static_cast<std::size_t>((xi1 - xi0) * width_ * nz);
-  if (nb[kNorth] >= 0) {
-    pack(*f_, xi0, xi1, je - width_, je, nz, buf_.out[kNorth]);
-    buf_.in[kNorth].resize(strip);
-  }
-  if (nb[kSouth] >= 0) {
-    pack(*f_, xi0, xi1, h, h + width_, nz, buf_.out[kSouth]);
-    buf_.in[kSouth].resize(strip);
-  }
-  h_ = comm_->exchange_start(nb, buf_);
+  comm_.exchange_finish(h_);
+  unpack_stage(f_, dec_, width_, nz(), 0, buf_);
+  const std::array<int, comm::kDirections> nb =
+      pack_stage(f_, dec_, width_, nz(), 1, buf_);
+  h_ = comm_.exchange_start(nb, buf_);
   stage_ = 2;
 }
 
 void HaloExchange3::finish() {
   if (stage_ != 2) throw std::logic_error("HaloExchange3: finish() order");
-  const Decomp& dec = *dec_;
-  const int h = dec.halo;
-  const int ie = h + dec.snx;
-  const int je = h + dec.sny;
-  const int nz = static_cast<int>(f_->nz());
-  using comm::kNorth;
-  using comm::kSouth;
-
-  comm_->exchange_finish(h_);
-  const int xi0 = h - width_;
-  const int xi1 = ie + width_;
-  if (dec.neighbors[kNorth] >= 0) {
-    unpack(*f_, xi0, xi1, je, je + width_, nz, buf_.in[kNorth]);
-  }
-  if (dec.neighbors[kSouth] >= 0) {
-    unpack(*f_, xi0, xi1, h - width_, h, nz, buf_.in[kSouth]);
-  }
+  comm_.exchange_finish(h_);
+  unpack_stage(f_, dec_, width_, nz(), 1, buf_);
   stage_ = 3;
 }
 

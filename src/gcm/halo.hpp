@@ -38,24 +38,26 @@ void exchange2d(comm::Comm& comm, const Decomp& dec, Array2D<double>& f,
 // The field must not be written between start() and finish().  Several
 // HaloExchange3 may be in flight at once (per-handle tag sequencing in
 // the comm layer); within a run the three calls are collective across
-// the group in a consistent order.
+// the group in a consistent order.  Calling them out of order throws
+// std::logic_error.  Not copyable or movable: the in-flight exchange
+// handle points at this object's buffers.
 class HaloExchange3 {
  public:
   HaloExchange3(comm::Comm& comm, const Decomp& dec, Array3D<double>& f,
                 int width);
   HaloExchange3(const HaloExchange3&) = delete;
   HaloExchange3& operator=(const HaloExchange3&) = delete;
-  HaloExchange3(HaloExchange3&&) = default;
-  HaloExchange3& operator=(HaloExchange3&&) = default;
 
   void start();
   void progress();
   void finish();
 
  private:
-  comm::Comm* comm_;
-  const Decomp* dec_;
-  Array3D<double>* f_;
+  [[nodiscard]] int nz() const { return static_cast<int>(f_.nz()); }
+
+  comm::Comm& comm_;
+  const Decomp& dec_;
+  Array3D<double>& f_;
   int width_;
   int stage_ = 0;  // 0 idle, 1 stage-1 posted, 2 stage-2 posted, 3 done
   comm::Buffers buf_;

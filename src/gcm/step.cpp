@@ -1,5 +1,7 @@
 #include "gcm/step.hpp"
 
+#include <deque>
+
 #include "cluster/trace.hpp"
 
 #include "gcm/halo.hpp"
@@ -163,8 +165,7 @@ StepStats Timestepper::step(const SurfaceForcing* forcing) {
     // the state after the step is bitwise identical to the blocking
     // path -- only virtual timing (and the biharmonic scratch
     // recomputation flops along the interior/rim seam) differ.
-    std::vector<HaloExchange3> hx;
-    hx.reserve(5);  // no reallocation: in-flight handles must not move
+    std::deque<HaloExchange3> hx;
     for (Array3D<double>* fld : {&state_.u, &state_.v, &state_.w,
                                  &state_.theta, &state_.salt}) {
       hx.emplace_back(comm_, dec_, *fld, h);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -179,6 +181,53 @@ TEST(Barrier, CompletesAndCostsLikeGsum) {
   // paper reports for the HPVM equivalent (Section 6).
   EXPECT_LT(rt.max_clock(), 20.0);
   EXPECT_GT(rt.max_clock(), 10.0);
+}
+
+// Barrier, global sum and global max run one reduction schedule (SMP
+// combine, fold, butterfly, fold-back, distribution) and cost the same.
+// Their completion clocks are pinned bit for bit on a power-of-two
+// machine and on two fold shapes, from aligned clocks and from skewed
+// ones (skew exercises the partner-wait path); `last`/`first` are the
+// latest and earliest final rank clocks.
+TEST(ReductionSchedule, CompletionClocksPinned) {
+  const net::ArcticModel net;
+  struct Pin {
+    int smps, ppp;
+    Microseconds aligned, skewed_last, skewed_first;
+  };
+  const Pin pins[] = {
+      {8, 2, 0x1.b570a3d70a3d7p+3, 0x1.fc7ae147ae147p+3, 0x1.fc7ae147ae147p+3},
+      {6, 1, 0x1.22e147ae147aep+4, 0x1.4666666666666p+4, 0x1.ec7ae147ae147p+3},
+      {3, 2, 0x1.97ae147ae147bp+3, 0x1.deb851eb851ebp+3, 0x1.5c28f5c28f5c2p+3},
+  };
+  const char* const names[] = {"barrier", "global_sum", "global_max"};
+  for (const Pin& pin : pins) {
+    for (int op = 0; op < 3; ++op) {
+      for (const bool skew : {false, true}) {
+        Runtime rt(machine(net, pin.smps, pin.ppp));
+        rt.run([&](RankContext& ctx) {
+          Comm comm(ctx);
+          if (skew) ctx.clock().advance(0.37 * ((ctx.rank() * 5) % 7));
+          if (op == 0) comm.barrier();
+          if (op == 1) (void)comm.global_sum(ctx.rank() + 1.0);
+          if (op == 2) (void)comm.global_max(ctx.rank() + 1.0);
+        });
+        const std::vector<Microseconds>& fc = rt.final_clocks();
+        const std::string where = std::string(names[op]) + " on " +
+                                  std::to_string(pin.smps) + "x" +
+                                  std::to_string(pin.ppp) +
+                                  (skew ? " skewed" : " aligned");
+        if (skew) {
+          EXPECT_EQ(*std::max_element(fc.begin(), fc.end()), pin.skewed_last)
+              << where;
+          EXPECT_EQ(*std::min_element(fc.begin(), fc.end()), pin.skewed_first)
+              << where;
+        } else {
+          EXPECT_EQ(rt.max_clock(), pin.aligned) << where;
+        }
+      }
+    }
+  }
 }
 
 // Figure 8: the butterfly's per-round partial sums.  Reconstructed here

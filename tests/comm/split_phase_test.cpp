@@ -1,12 +1,11 @@
-// Split-phase (start/test/finish) semantics of the comm core: the
-// pipelined exchange and global sum must deliver bitwise-identical data
-// to their blocking counterparts, tolerate out-of-order finishes among
-// in-flight exchanges, and credit hidden communication to the
-// Accounting::overlap_us bucket instead of charging it twice.
+// Split-phase (start/finish) semantics of the comm core: the pipelined
+// exchange must deliver bitwise-identical data to the blocking one,
+// tolerate out-of-order finishes among in-flight exchanges, and credit
+// hidden communication to the Accounting::overlap_us bucket instead of
+// charging it twice.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <thread>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -104,76 +103,6 @@ TEST(SplitPhase, OutOfOrderFinishTwoInFlight) {
   }
 }
 
-// exchange_test never advances the virtual clock; once it reports true,
-// finish completes with the correct data.
-TEST(SplitPhase, ExchangeTestDrainsWithoutClockAdvance) {
-  const net::ArcticModel net;
-  Runtime rt(machine(net, 4, 1));
-  rt.run([&](RankContext& ctx) {
-    Comm comm(ctx);
-    const int tx = ctx.rank() % 2, ty = ctx.rank() / 2;
-    auto id = [](int x, int y) { return ((y + 2) % 2) * 2 + (x + 2) % 2; };
-    const std::array<int, kDirections> nb{id(tx + 1, ty), id(tx - 1, ty),
-                                          id(tx, ty + 1), id(tx, ty - 1)};
-    Comm::Buffers buf = make_buffers(ctx.rank(), 3.0);
-    ExchangeHandle h = comm.exchange_start(nb, buf);
-    const Microseconds t0 = ctx.clock().now();
-    // All sends were posted by start on every rank, so the strips arrive
-    // in real time even though we only probe.
-    while (!comm.exchange_test(h)) std::this_thread::yield();
-    EXPECT_EQ(ctx.clock().now(), t0);  // probing is free
-    comm.exchange_finish(h);
-    expect_exchanged(nb, buf, 3.0, ctx.rank());
-  });
-}
-
-// Split global sum/max returns bitwise the blocking result on every rank.
-TEST(SplitPhase, GsumMatchesBlockingBitwise) {
-  const net::ArcticModel net;
-  for (int ppp : {1, 2}) {
-    Runtime rt(machine(net, 8 / ppp, ppp));
-    rt.run([&](RankContext& ctx) {
-      Comm comm(ctx);
-      // Values with non-trivial mantissas so associativity errors would
-      // show up as ulp differences.
-      const double x = 1.0 / (3.0 + ctx.rank());
-      const double blocking_sum = comm.global_sum(x);
-      const double blocking_max = comm.global_max(x);
-
-      GsumHandle hs = comm.global_sum_start(x);
-      EXPECT_TRUE(hs.valid());
-      const std::vector<double> s = comm.global_sum_finish(hs);
-      ASSERT_EQ(s.size(), 1u);
-      EXPECT_EQ(s[0], blocking_sum);  // bitwise, not approximately
-      EXPECT_FALSE(hs.valid());
-
-      GsumHandle hm = comm.global_max_start(x);
-      const std::vector<double> m = comm.global_sum_finish(hm);
-      ASSERT_EQ(m.size(), 1u);
-      EXPECT_EQ(m[0], blocking_max);
-    });
-  }
-}
-
-// Vector reductions through the split path, with several reductions in
-// a row to exercise the rotating tag salt.
-TEST(SplitPhase, VectorGsumSequence) {
-  const net::ArcticModel net;
-  Runtime rt(machine(net, 4, 2));
-  rt.run([&](RankContext& ctx) {
-    Comm comm(ctx);
-    for (int round = 0; round < 6; ++round) {
-      std::vector<double> xs = {1.0 * ctx.rank() + round, 0.5, -2.0 * round};
-      std::vector<double> blocking = xs;
-      comm.global_sum(blocking);
-      GsumHandle h = comm.global_sum_start(xs);
-      const std::vector<double> split = comm.global_sum_finish(h);
-      ASSERT_EQ(split, blocking) << "round " << round;
-    }
-    EXPECT_EQ(comm.gsums_done(), 12u);
-  });
-}
-
 // Compute issued between start and finish hides communication: the
 // total virtual time is less than the serial (blocking) arrangement,
 // and the hidden time is credited to Accounting::overlap_us.
@@ -213,32 +142,6 @@ TEST(SplitPhase, ComputeHidesExchangeTime) {
   EXPECT_LE(ovl_split, work_us + 1e-9);
 }
 
-// Same for the split global sum: a first-round latency hidden under
-// compute shortens the critical path on a high-latency interconnect.
-TEST(SplitPhase, ComputeHidesGsumLatency) {
-  const net::EthernetModel fe = net::fast_ethernet();
-  const double work_us = 1.0e4;
-  auto run = [&](bool split) {
-    Runtime rt(machine(fe, 8, 1));
-    rt.run([&](RankContext& ctx) {
-      Comm comm(ctx);
-      const double x = ctx.rank() + 0.25;
-      double s;
-      if (split) {
-        GsumHandle h = comm.global_sum_start(x);
-        ctx.compute(work_us * 50.0, 50.0);
-        s = comm.global_sum_finish(h)[0];
-      } else {
-        s = comm.global_sum(x);
-        ctx.compute(work_us * 50.0, 50.0);
-      }
-      EXPECT_DOUBLE_EQ(s, 8.0 * 7.0 / 2.0 + 8 * 0.25);
-    });
-    return rt.max_clock();
-  };
-  EXPECT_LT(run(true), run(false));
-}
-
 // Barriers use their own tag space and counter: they must not consume
 // global-sum sequence numbers or pollute gsums_done() statistics, and
 // collectives interleave cleanly around them.
@@ -250,10 +153,8 @@ TEST(SplitPhase, BarrierCountersIndependent) {
     comm.barrier();
     EXPECT_EQ(comm.barriers_done(), 1u);
     EXPECT_EQ(comm.gsums_done(), 0u);
-    GsumHandle h = comm.global_sum_start(1.0);
-    comm.barrier();  // barrier while a reduction is in flight
-    const double s = comm.global_sum_finish(h)[0];
-    EXPECT_DOUBLE_EQ(s, 8.0);
+    EXPECT_DOUBLE_EQ(comm.global_sum(1.0), 8.0);
+    comm.barrier();
     EXPECT_EQ(comm.barriers_done(), 2u);
     EXPECT_EQ(comm.gsums_done(), 1u);
     EXPECT_EQ(comm.exchanges_done(), 0u);
@@ -276,8 +177,7 @@ TEST(SplitPhase, TimingDeterministic) {
         ctx.compute(100.0, 1.0);
         comm.exchange_finish(hb);
         comm.exchange_finish(ha);
-        GsumHandle h = comm.global_sum_start(1.0 * i);
-        (void)comm.global_sum_finish(h);
+        (void)comm.global_sum(1.0 * i);
       }
     });
     return rt.final_clocks();

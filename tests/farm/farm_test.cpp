@@ -94,10 +94,13 @@ TEST(Farm, ConfigHashSeparatesPhysicsFromSeed) {
 TEST(Farm, SameQueueTwiceIsBitIdentical) {
   // The acceptance criterion: two farms fed the identical queue emit
   // byte-identical campaign summaries (the ledger prints KE in hexfloat
-  // precisely so bit-level drift would be visible here).
+  // precisely so bit-level drift would be visible here).  The doomed
+  // member's give-up and every stamp after it must be just as stable.
+  QuietLog quiet;
   auto campaign = [] {
     Farm f(farm_config(2));
     f.submit(member("m-a", 101));
+    f.submit(doomed_member("m-doomed"));
     f.submit(member("m-b", 102));
     f.submit(member("m-c", 103, /*steps=*/6, /*priority=*/2));
     f.submit(member("m-a-again", 101));  // dedup'd
@@ -108,6 +111,7 @@ TEST(Farm, SameQueueTwiceIsBitIdentical) {
   const std::string second = campaign();
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("cache"), std::string::npos) << first;
+  EXPECT_NE(first.find(" 1 failed,"), std::string::npos) << first;
 }
 
 TEST(Farm, CacheHitServesDuplicateForZeroSteps) {
@@ -230,6 +234,7 @@ TEST(Farm, RestartExhaustedMemberFailsWithoutWedgingQueue) {
   EXPECT_EQ(rd.result.steps_committed, 0);
   EXPECT_GT(rd.result.busy_us, 0.0);
   EXPECT_GT(rd.result.restarts, 0);
+  const double doomed_busy_us = rd.result.busy_us;
 
   // The queue kept draining: the member behind the wreck completes,
   // scheduled after the failed job released its cluster.
@@ -249,6 +254,9 @@ TEST(Farm, RestartExhaustedMemberFailsWithoutWedgingQueue) {
   f.run_until_drained();
   EXPECT_EQ(f.job(again).status, JobStatus::kFailed);
   EXPECT_FALSE(f.job(again).from_cache);
+  // The give-up is charged from the fault plan, not from where each
+  // rank thread stopped: the same spec costs the same, to the bit.
+  EXPECT_TRUE(same_bits(f.job(again).result.busy_us, doomed_busy_us));
 }
 
 TEST(Farm, PoolSpreadsIndependentMembersAcrossClusters) {

@@ -2,10 +2,10 @@
 //
 // Two regression surfaces:
 //   1. overlap_comm = off must reproduce the seed StepStats *exactly* --
-//      the blocking path is now start+finish of the split-phase core,
-//      and the interior/rim kernel split must not move a single flop or
-//      microsecond.  Golden hexfloat values below were captured from the
-//      pre-split tree on all four topography presets.
+//      the blocking exchange and global sum run the classic synchronous
+//      schedules, and the interior/rim kernel split must not move a
+//      single flop or microsecond.  Golden hexfloat values below were
+//      captured from the pre-split tree on all four topography presets.
 //   2. overlap_comm = on must leave the model state bitwise identical
 //      (the refactor only re-orders *where* cells are computed, never
 //      the per-cell arithmetic) while recovering exchange time.
