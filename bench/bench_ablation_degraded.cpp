@@ -19,6 +19,7 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "arctic/fabric.hpp"
@@ -32,6 +33,7 @@
 #include "net/arctic_model.hpp"
 #include "sim/scheduler.hpp"
 #include "support/logging.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -119,8 +121,9 @@ SchedulePoint run_schedule(const cluster::FaultPlan* plan) {
   mc.faults = plan;
   cluster::Runtime rt(mc);
 
+  const ScratchDir scratch("hyades_bench_degraded");
   gcm::ResilientConfig rcfg;
-  rcfg.ckpt_prefix = "/tmp/hyades_bench_degraded_ckpt";
+  rcfg.ckpt_prefix = scratch.path() + "/ckpt";
   rcfg.ckpt_every = 6;
   rcfg.max_restarts = 4;
   SchedulePoint out;

@@ -33,6 +33,7 @@
 #include "net/arctic_model.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -152,8 +153,9 @@ int main() {
   // The failure-free baseline every survivor's bits must match.
   // Recovery mode, ring depth, link kills and joins are all
   // bits-neutral, so one baseline covers every draw.
+  const ScratchDir scratch("hyades_bch");
   const RunOut clean = run_draw(nullptr, gcm::RecoveryMode::kMigrate, 2,
-                                "/tmp/hyades_bch_clean", nullptr);
+                                scratch.path() + "/clean", nullptr);
 
   int survived = 0;
   int failed_typed = 0;
@@ -168,6 +170,7 @@ int main() {
 
   for (int d = 0; d < kDraws; ++d) {
     SplitMix64 rng(kSoakSeed + 977u * static_cast<std::uint64_t>(d));
+    const std::string prefix = scratch.path() + "/d" + std::to_string(d);
 
     cluster::FaultPlan plan;
     const int n_kills = 1 + static_cast<int>(rng.next_below(3));
@@ -207,15 +210,14 @@ int main() {
       // its newest durable tile decays between commit and adoption.
       if (rotted || !corrupt || v.rank < 0) return;
       rotted = true;
-      const gcm::tile_ckpt::TileHit newest = gcm::tile_ckpt::newest_rank_ckpt(
-          "/tmp/hyades_bch_d" + std::to_string(d), v.rank, kSteps);
+      const gcm::tile_ckpt::TileHit newest =
+          gcm::tile_ckpt::newest_rank_ckpt(prefix, v.rank, kSteps);
       if (newest.step >= 0) rot_payload(newest.path);
     };
 
     try {
-      const RunOut got = run_draw(&plan, mode, ring_depth,
-                                  "/tmp/hyades_bch_d" + std::to_string(d),
-                                  pre_recovery);
+      const RunOut got =
+          run_draw(&plan, mode, ring_depth, prefix, pre_recovery);
       ++survived;
       if (!states_bit_identical(clean, got)) {
         ++bits_broken;

@@ -83,8 +83,17 @@ int main() {
   const double hit_rate =
       static_cast<double>(s.cache_hits) /
       static_cast<double>(s.completed + s.failed);
-  const double fresh_us_per_step =
-      s.busy_us / static_cast<double>(s.steps_committed);
+  // Fresh cost per step from the members that simulated and finished:
+  // the doomed member's aborted epochs occupy the pool but commit no
+  // steps, so counting them would inflate every saved step's price.
+  double fresh_busy_us = 0.0;
+  double fresh_steps = 0.0;
+  for (const farm::JobRecord& r : f.jobs()) {
+    if (r.status != farm::JobStatus::kCompleted || r.from_cache) continue;
+    fresh_busy_us += r.result.busy_us;
+    fresh_steps += static_cast<double>(r.result.steps_committed);
+  }
+  const double fresh_us_per_step = fresh_busy_us / fresh_steps;
   const double saved_us = fresh_us_per_step * static_cast<double>(s.steps_saved);
   // The entire duplicate wave cost zero virtual microseconds, so this
   // speedup is infinite -- by design: it lands in the JSON as null and

@@ -27,6 +27,7 @@
 #include "gcm/tile_ckpt.hpp"
 #include "net/arctic_model.hpp"
 #include "support/logging.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -125,11 +126,12 @@ struct Schedule {
 int main() {
   bench::banner("Recovery time: live tile migration vs epoch restart");
   set_log_level(LogLevel::kError);  // kill storms stay quiet
+  const ScratchDir scratch("hyades_br");
 
   // The failure-free baseline: bits to match, and the clock that
   // anchors each schedule's kill time.
-  const RunOut clean =
-      run_mode(nullptr, gcm::RecoveryMode::kEpochRestart, "/tmp/hyades_brc");
+  const RunOut clean = run_mode(nullptr, gcm::RecoveryMode::kEpochRestart,
+                                scratch.path() + "/clean");
 
   const std::vector<Schedule> schedules = {
       {"early (pre-rotation)", {{3, 0.0, 0}}, -1, 1},
@@ -163,10 +165,10 @@ int main() {
       plan.node_joins.push_back({s.kills.front().rank / kPpp, s.join_step});
     }
 
-    const RunOut restart =
-        run_mode(&plan, gcm::RecoveryMode::kEpochRestart, "/tmp/hyades_brr");
-    const RunOut migrate =
-        run_mode(&plan, gcm::RecoveryMode::kMigrate, "/tmp/hyades_brm");
+    const RunOut restart = run_mode(&plan, gcm::RecoveryMode::kEpochRestart,
+                                    scratch.path() + "/restart");
+    const RunOut migrate = run_mode(&plan, gcm::RecoveryMode::kMigrate,
+                                    scratch.path() + "/migrate");
     if (static_cast<int>(restart.stats.recovery_us.size()) !=
             s.expect_events ||
         static_cast<int>(migrate.stats.recovery_us.size()) !=

@@ -25,10 +25,6 @@ Farm::Farm(FarmConfig cfg) : cfg_(cfg), queue_(cfg.max_pending) {
   if (cfg_.clusters < 1) {
     throw std::invalid_argument("Farm: pool needs at least one cluster");
   }
-  if (cfg_.scratch_dir.empty()) {
-    cfg_.scratch_dir =
-        (std::filesystem::temp_directory_path() / "hyades_farm").string();
-  }
   pool_free_at_.assign(static_cast<std::size_t>(cfg_.clusters), 0.0);
 }
 
@@ -111,7 +107,12 @@ void Farm::dispatch(JobRecord& rec) {
 
 std::string Farm::scratch_prefix(int job_id) {
   if (!scratch_ready_) {
-    std::filesystem::create_directories(cfg_.scratch_dir);
+    if (cfg_.scratch_dir.empty()) {
+      owned_scratch_.emplace("hyades_farm");
+      cfg_.scratch_dir = owned_scratch_->path();
+    } else {
+      std::filesystem::create_directories(cfg_.scratch_dir);
+    }
     scratch_ready_ = true;
   }
   return cfg_.scratch_dir + "/job" + std::to_string(job_id);

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "farm/job.hpp"
 #include "farm/queue.hpp"
 #include "support/metrics.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/units.hpp"
 
 namespace hyades::farm {
@@ -40,8 +42,9 @@ namespace hyades::farm {
 struct FarmConfig {
   int clusters = 2;      // pool size (>= 1)
   int max_pending = 0;   // admission cap; <= 0 = unbounded
-  // Durable-checkpoint scratch directory for resilient members; ""
-  // resolves to <temp dir>/hyades_farm.  Created on first use.
+  // Durable-checkpoint scratch directory for resilient members, created
+  // on first use.  "" gives the farm a private directory under the temp
+  // directory (support/scratch_dir.hpp), removed with the farm.
   std::string scratch_dir;
 };
 
@@ -106,6 +109,7 @@ class Farm {
   std::vector<Microseconds> pool_free_at_;
   Microseconds now_ = 0.0;
   bool scratch_ready_ = false;
+  std::optional<ScratchDir> owned_scratch_;  // when cfg.scratch_dir is ""
 };
 
 }  // namespace hyades::farm

@@ -1,15 +1,17 @@
 // Preconditioned conjugate gradients with the paper's per-iteration
-// communication structure: one 2-D halo-1 exchange (on the search
-// direction) and two global sums (Section 4: "the iterative
-// solver requires an exchange to be applied to two fields at every
-// solver iteration ... Two global sum operations are required at every
-// solver iteration").
+// communication structure: one halo-1 exchange of the search direction,
+// one of the preconditioned residual, and two global sums (Section 4:
+// "the iterative solver requires an exchange to be applied to two fields
+// at every solver iteration ... Two global sum operations are required
+// at every solver iteration").
 //
-// The default preconditioner averages tile-local zonal and meridional
-// tridiagonal line solves (CgPrecond::kZonalLine); plain Jacobi is kept
-// for the solver ablation.  All dot products are reduced through
-// Comm::global_sum, so every rank sees bitwise-identical convergence
-// decisions.
+// One loop serves both elliptic systems: the 2-D surface pressure of the
+// hydrostatic DS phase and, outside the hydrostatic limit, the 3-D
+// non-hydrostatic pressure (same shape, level-deep halo strips -- which
+// is why the paper's climate runs stay hydrostatic; see
+// bench_ablation_nonhydro).  The operator owns its preconditioner.  All
+// dot products are reduced through Comm::global_sum, so every rank sees
+// bitwise-identical convergence decisions.
 #pragma once
 
 #include <stdexcept>
@@ -17,6 +19,7 @@
 
 #include "comm/comm.hpp"
 #include "gcm/elliptic.hpp"
+#include "gcm/elliptic3.hpp"
 
 namespace hyades::gcm {
 
@@ -40,24 +43,20 @@ struct SolverDivergence : std::runtime_error {
 struct CgResult {
   int iterations = 0;
   double residual = 0.0;       // sqrt(<r, r>) at exit
-  double rhs_norm = 0.0;       // sqrt(<b, b>): the tolerance's scale
   bool converged = false;
   double flops = 0.0;          // local flops spent in the solve
 };
 
-enum class CgPrecond {
-  kZonalLine,  // mean of tile-local x- and y-line tridiagonal solves
-               // (production default)
-  kJacobi,     // diagonal scaling (kept for the solver ablation)
-};
-
 // Solves L p = b in-place (p holds the initial guess, typically the
-// previous step's pressure).  b must satisfy the compatibility condition
-// (its global sum is ~0); the constant null-space component of p is left
-// untouched by CG.
+// previous step's pressure) to sqrt(<r, r>) <= tol * sqrt(<b, b>).  b must
+// satisfy the compatibility condition (its global sum is ~0); the
+// constant null-space component of p is left untouched by CG.  Each
+// iteration is recorded as a "ds_cg_iter" span when the rank traces.
 CgResult cg_solve(comm::Comm& comm, const Decomp& dec,
                   const EllipticOperator& op, const Array2D<double>& b,
-                  Array2D<double>& p, double tol, int max_iter,
-                  CgPrecond precond = CgPrecond::kZonalLine);
+                  Array2D<double>& p, double tol, int max_iter);
+CgResult cg_solve(comm::Comm& comm, const Decomp& dec,
+                  const EllipticOperator3& op, const Array3D<double>& b,
+                  Array3D<double>& p, double tol, int max_iter);
 
 }  // namespace hyades::gcm

@@ -1,20 +1,19 @@
 #include "gcm/elliptic.hpp"
 
-#include <algorithm>
+#include "gcm/tridiag.hpp"
 
 namespace hyades::gcm {
 
 EllipticOperator::EllipticOperator(const ModelConfig& cfg, const Decomp& dec,
                                    const TileGrid& grid)
-    : dec_(dec) {
+    : dec_(dec), jacobi_(cfg.cg_jacobi) {
   const int ex = dec.ext_x();
   const int ey = dec.ext_y();
-  wW_ = Array2D<double>(static_cast<std::size_t>(ex),
-                        static_cast<std::size_t>(ey), 0.0);
-  wS_ = Array2D<double>(static_cast<std::size_t>(ex),
-                        static_cast<std::size_t>(ey), 0.0);
-  diag_ = Array2D<double>(static_cast<std::size_t>(ex),
-                          static_cast<std::size_t>(ey), 0.0);
+  for (Array2D<double>* a :
+       {&wW_, &wS_, &diag_, &cp_, &inv_, &cpy_, &invy_}) {
+    *a = Array2D<double>(static_cast<std::size_t>(ex),
+                         static_cast<std::size_t>(ey), 0.0);
+  }
 
   // Face depths H_f = sum_k hFac_f dz_k; the same face fractions used by
   // the velocity correction, which makes the projection exact.
@@ -48,74 +47,17 @@ EllipticOperator::EllipticOperator(const ModelConfig& cfg, const Decomp& dec,
     }
   }
   ybuf_.assign(static_cast<std::size_t>(dec.sny), 0.0);
-  factor_lines();
-}
 
-void EllipticOperator::factor_lines() {
-  const int ex = dec_.ext_x();
-  const int ey = dec_.ext_y();
-  cp_ = Array2D<double>(static_cast<std::size_t>(ex),
-                        static_cast<std::size_t>(ey), 0.0);
-  inv_ = Array2D<double>(static_cast<std::size_t>(ex),
-                         static_cast<std::size_t>(ey), 0.0);
-  const int h = dec_.halo;
-  for (int j = h; j < h + dec_.sny; ++j) {
-    const auto sj = static_cast<std::size_t>(j);
-    double prev_cp = 0.0;
-    bool have_prev = false;
-    for (int i = h; i < h + dec_.snx; ++i) {
-      const auto si = static_cast<std::size_t>(i);
-      const double b = diag_(si, sj);
-      if (b <= 0) {  // land: decoupled identity row
-        cp_(si, sj) = 0.0;
-        inv_(si, sj) = 0.0;
-        have_prev = false;
-        continue;
-      }
-      // Sub/super couplings within the tile row; couplings into the halo
-      // (another tile, or land) are dropped from the off-diagonals.
-      const double a =
-          (have_prev && i > h) ? -wW_(si, sj) : 0.0;
-      const double c =
-          (i + 1 < h + dec_.snx) ? -wW_(si + 1, sj) : 0.0;
-      // Guard against an exactly-singular block (a fully isolated wet
-      // zonal strip would make M a pure Neumann tridiagonal).
-      const double denom =
-          std::max(b - a * (have_prev ? prev_cp : 0.0), 1e-12 * b);
-      inv_(si, sj) = 1.0 / denom;
-      cp_(si, sj) = c / denom;
-      prev_cp = cp_(si, sj);
-      have_prev = true;
-    }
+  // Line factors: zonal lines run along i (stride ey), meridional lines
+  // along j.
+  const auto h = static_cast<std::size_t>(dec.halo);
+  for (std::size_t j = h; j < h + static_cast<std::size_t>(dec.sny); ++j) {
+    tridiag::factor(&diag_(h, j), &wW_(h, j), &cp_(h, j), &inv_(h, j),
+                    dec.snx, static_cast<std::size_t>(ey));
   }
-
-  // Meridional (y-direction) factors.
-  cpy_ = Array2D<double>(static_cast<std::size_t>(ex),
-                         static_cast<std::size_t>(ey), 0.0);
-  invy_ = Array2D<double>(static_cast<std::size_t>(ex),
-                          static_cast<std::size_t>(ey), 0.0);
-  for (int i = h; i < h + dec_.snx; ++i) {
-    const auto si = static_cast<std::size_t>(i);
-    double prev_cp = 0.0;
-    bool have_prev = false;
-    for (int j = h; j < h + dec_.sny; ++j) {
-      const auto sj = static_cast<std::size_t>(j);
-      const double b = diag_(si, sj);
-      if (b <= 0) {
-        cpy_(si, sj) = 0.0;
-        invy_(si, sj) = 0.0;
-        have_prev = false;
-        continue;
-      }
-      const double a = (have_prev && j > h) ? -wS_(si, sj) : 0.0;
-      const double c = (j + 1 < h + dec_.sny) ? -wS_(si, sj + 1) : 0.0;
-      const double denom =
-          std::max(b - a * (have_prev ? prev_cp : 0.0), 1e-12 * b);
-      invy_(si, sj) = 1.0 / denom;
-      cpy_(si, sj) = c / denom;
-      prev_cp = cpy_(si, sj);
-      have_prev = true;
-    }
+  for (std::size_t i = h; i < h + static_cast<std::size_t>(dec.snx); ++i) {
+    tridiag::factor(&diag_(i, h), &wS_(i, h), &cpy_(i, h), &invy_(i, h),
+                    dec.sny, 1);
   }
 }
 
@@ -144,83 +86,29 @@ double EllipticOperator::apply(const Array2D<double>& p,
 
 double EllipticOperator::precondition(const Array2D<double>& r,
                                       Array2D<double>& z) const {
+  if (jacobi_) return precondition_jacobi(r, z);
   // Thomas solves per line in both directions (restarting at land
   // breaks, where rows are decoupled identity blocks), averaged.
   double flops = 0;
-  const int h = dec_.halo;
+  const auto ey = static_cast<std::size_t>(dec_.ext_y());
+  const auto h = static_cast<std::size_t>(dec_.halo);
+  const auto snx = static_cast<std::size_t>(dec_.snx);
+  const auto sny = static_cast<std::size_t>(dec_.sny);
 
   // ---- zonal pass: z holds Mx^-1 r -------------------------------------
-  for (int j = h; j < h + dec_.sny; ++j) {
-    const auto sj = static_cast<std::size_t>(j);
-    bool have_prev = false;
-    double prev_z = 0.0;
-    for (int i = h; i < h + dec_.snx; ++i) {
-      const auto si = static_cast<std::size_t>(i);
-      if (diag_(si, sj) <= 0) {
-        z(si, sj) = 0.0;
-        have_prev = false;
-        continue;
-      }
-      const double a = (have_prev && i > h) ? -wW_(si, sj) : 0.0;
-      z(si, sj) = (r(si, sj) - a * prev_z) * inv_(si, sj);
-      prev_z = z(si, sj);
-      have_prev = true;
-      flops += 3.0;
-    }
-    bool have_next = false;
-    double next_z = 0.0;
-    for (int i = h + dec_.snx - 1; i >= h; --i) {
-      const auto si = static_cast<std::size_t>(i);
-      if (diag_(si, sj) <= 0) {
-        have_next = false;
-        continue;
-      }
-      if (have_next) {
-        z(si, sj) -= cp_(si, sj) * next_z;
-        flops += 2.0;
-      }
-      next_z = z(si, sj);
-      have_next = true;
-    }
+  for (std::size_t j = h; j < h + sny; ++j) {
+    flops += tridiag::solve(&diag_(h, j), &wW_(h, j), &cp_(h, j), &inv_(h, j),
+                            &r(h, j), &z(h, j), dec_.snx, ey);
   }
 
-  // ---- meridional pass, accumulated: z = (Mx^-1 r + My^-1 r) / 2 -------
-  for (int i = h; i < h + dec_.snx; ++i) {
-    const auto si = static_cast<std::size_t>(i);
-    bool have_prev = false;
-    double prev_y = 0.0;
-    double* ybuf = ybuf_.data();
-    for (int j = h; j < h + dec_.sny; ++j) {
-      const auto sj = static_cast<std::size_t>(j);
-      const int jj = j - h;
-      if (diag_(si, sj) <= 0) {
-        ybuf[jj] = 0.0;
-        have_prev = false;
-        continue;
-      }
-      const double a = (have_prev && j > h) ? -wS_(si, sj) : 0.0;
-      ybuf[jj] = (r(si, sj) - a * prev_y) * invy_(si, sj);
-      prev_y = ybuf[jj];
-      have_prev = true;
-      flops += 3.0;
-    }
-    bool have_next = false;
-    double next_y = 0.0;
-    for (int j = h + dec_.sny - 1; j >= h; --j) {
-      const auto sj = static_cast<std::size_t>(j);
-      const int jj = j - h;
-      if (diag_(si, sj) <= 0) {
-        have_next = false;
-        continue;
-      }
-      double yj = ybuf[jj];
-      if (have_next) {
-        yj -= cpy_(si, sj) * next_y;
-        flops += 2.0;
-      }
-      next_y = yj;
-      have_next = true;
-      z(si, sj) = 0.5 * (z(si, sj) + yj);
+  // ---- meridional pass, averaged: z = (Mx^-1 r + My^-1 r) / 2 ----------
+  for (std::size_t i = h; i < h + snx; ++i) {
+    flops += tridiag::solve(&diag_(i, h), &wS_(i, h), &cpy_(i, h),
+                            &invy_(i, h), &r(i, h), ybuf_.data(), dec_.sny,
+                            1);
+    for (std::size_t j = h; j < h + sny; ++j) {
+      if (diag_(i, j) <= 0) continue;
+      z(i, j) = 0.5 * (z(i, j) + ybuf_[j - h]);
       flops += 2.0;
     }
   }

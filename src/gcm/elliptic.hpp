@@ -19,6 +19,7 @@
 // grid's polar anisotropy (w_east/w_north ~ 30 at 80 degrees); the
 // meridional lines pick up the depth contrasts of shelves and ridges.
 // Together they keep the iteration count near the paper's Ni ~ 60.
+// ModelConfig::cg_jacobi swaps in plain diagonal scaling instead.
 #pragma once
 
 #include "gcm/config.hpp"
@@ -39,33 +40,26 @@ class EllipticOperator {
 
   // z = (Mx^-1 r + My^-1 r) / 2 over the interior (z = 0 on land),
   // where Mx and My are the tile-local zonal and meridional tridiagonal
-  // parts of L.  Returns flops.
+  // parts of L -- or z = r / diag(L) when cfg.cg_jacobi selects the
+  // plain Jacobi alternative (kept for the solver ablation bench).
+  // Returns flops.
   double precondition(const Array2D<double>& r, Array2D<double>& z) const;
 
-  // z = r / diag(L): the plain Jacobi alternative (kept for the solver
-  // ablation bench).
-  double precondition_jacobi(const Array2D<double>& r,
-                             Array2D<double>& z) const;
-
-  // Face weight accessors (exposed for symmetry tests).
-  [[nodiscard]] const Array2D<double>& west_weight() const { return wW_; }
-  [[nodiscard]] const Array2D<double>& south_weight() const { return wS_; }
   [[nodiscard]] const Array2D<double>& diagonal() const { return diag_; }
   [[nodiscard]] bool is_wet(int i, int j) const {
     return diag_(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) > 0;
   }
 
-  [[nodiscard]] const Decomp& decomp() const { return dec_; }
-
  private:
-  void factor_lines();
+  double precondition_jacobi(const Array2D<double>& r,
+                             Array2D<double>& z) const;
 
   const Decomp& dec_;
+  bool jacobi_;  // ModelConfig::cg_jacobi
   // Weights on the tile's extended index space: wW_(i,j) couples cells
   // (i-1,j)-(i,j); wS_(i,j) couples (i,j-1)-(i,j).
   Array2D<double> wW_, wS_, diag_;
-  // Thomas-algorithm factors per interior cell: cp_ = normalized
-  // super-diagonal, inv_ = 1/(b - a*cp_prev); x-direction and
+  // Thomas factors (gcm/tridiag.hpp) per interior cell: x-direction and
   // y-direction sets.
   Array2D<double> cp_, inv_;
   Array2D<double> cpy_, invy_;

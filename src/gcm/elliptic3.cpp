@@ -1,6 +1,6 @@
 #include "gcm/elliptic3.hpp"
 
-#include <algorithm>
+#include "gcm/tridiag.hpp"
 
 namespace hyades::gcm {
 
@@ -17,7 +17,7 @@ inline double& at(Array3D<double>& f, int i, int j, int k) {
 
 EllipticOperator3::EllipticOperator3(const ModelConfig& cfg, const Decomp& dec,
                                      const TileGrid& grid)
-    : cfg_(cfg), dec_(dec), grid_(grid) {
+    : cfg_(cfg), dec_(dec) {
   const auto ex = static_cast<std::size_t>(dec.ext_x());
   const auto ey = static_cast<std::size_t>(dec.ext_y());
   const auto ez = static_cast<std::size_t>(cfg.nz);
@@ -71,23 +71,10 @@ EllipticOperator3::EllipticOperator3(const ModelConfig& cfg, const Decomp& dec,
   // remains SPD even where columns decouple).
   for (int i = h; i < h + dec.snx; ++i) {
     for (int j = h; j < h + dec.sny; ++j) {
-      double prev_cp = 0.0;
-      bool have_prev = false;
-      for (int k = 0; k < cfg.nz; ++k) {
-        const double b = at(diag_, i, j, k);
-        if (b <= 0) {
-          have_prev = false;
-          continue;
-        }
-        const double a = (have_prev && k > 0) ? -at(wT_, i, j, k) : 0.0;
-        const double c = (k + 1 < cfg.nz) ? -at(wT_, i, j, k + 1) : 0.0;
-        const double denom =
-            std::max(b - a * (have_prev ? prev_cp : 0.0), 1e-12 * b);
-        at(inv_, i, j, k) = 1.0 / denom;
-        at(cp_, i, j, k) = c / denom;
-        prev_cp = at(cp_, i, j, k);
-        have_prev = true;
-      }
+      const auto si = static_cast<std::size_t>(i);
+      const auto sj = static_cast<std::size_t>(j);
+      tridiag::factor(diag_.column(si, sj), wT_.column(si, sj),
+                      cp_.column(si, sj), inv_.column(si, sj), cfg.nz, 1);
     }
   }
 }
@@ -124,37 +111,13 @@ double EllipticOperator3::precondition(const Array3D<double>& r,
                                        Array3D<double>& z) const {
   double flops = 0;
   const int h = dec_.halo;
-  const int nz = cfg_.nz;
   for (int i = h; i < h + dec_.snx; ++i) {
     for (int j = h; j < h + dec_.sny; ++j) {
-      bool have_prev = false;
-      double prev_z = 0.0;
-      for (int k = 0; k < nz; ++k) {
-        if (at(diag_, i, j, k) <= 0) {
-          at(z, i, j, k) = 0.0;
-          have_prev = false;
-          continue;
-        }
-        const double a = (have_prev && k > 0) ? -at(wT_, i, j, k) : 0.0;
-        at(z, i, j, k) = (at(r, i, j, k) - a * prev_z) * at(inv_, i, j, k);
-        prev_z = at(z, i, j, k);
-        have_prev = true;
-        flops += 3.0;
-      }
-      bool have_next = false;
-      double next_z = 0.0;
-      for (int k = nz - 1; k >= 0; --k) {
-        if (at(diag_, i, j, k) <= 0) {
-          have_next = false;
-          continue;
-        }
-        if (have_next) {
-          at(z, i, j, k) -= at(cp_, i, j, k) * next_z;
-          flops += 2.0;
-        }
-        next_z = at(z, i, j, k);
-        have_next = true;
-      }
+      const auto si = static_cast<std::size_t>(i);
+      const auto sj = static_cast<std::size_t>(j);
+      flops += tridiag::solve(diag_.column(si, sj), wT_.column(si, sj),
+                              cp_.column(si, sj), inv_.column(si, sj),
+                              r.column(si, sj), z.column(si, sj), cfg_.nz, 1);
     }
   }
   return flops;

@@ -43,11 +43,10 @@ class EllipticOperator3 {
  private:
   const ModelConfig& cfg_;
   const Decomp& dec_;
-  const TileGrid& grid_;
   // Face weights: wW_(i,j,k) couples (i-1,j,k)-(i,j,k); wS_ couples in j;
   // wT_(i,j,k) couples (i,j,k-1)-(i,j,k) (the top face of cell k).
   Array3D<double> wW_, wS_, wT_, diag_;
-  // Thomas factors of the column tridiagonal.
+  // Thomas factors of the column tridiagonal (gcm/tridiag.hpp).
   Array3D<double> cp_, inv_;
 };
 

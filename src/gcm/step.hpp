@@ -13,7 +13,6 @@
 
 #include "comm/comm.hpp"
 #include "gcm/cg.hpp"
-#include "gcm/cg3.hpp"
 #include "gcm/config.hpp"
 #include "gcm/elliptic.hpp"
 #include "gcm/elliptic3.hpp"
@@ -80,7 +79,6 @@ class Timestepper {
   // Restore hook for rollback-and-replay: a replayed step must not
   // double-count its first attempt's flops/iterations.
   void set_observables(const PerfObservables& obs) { obs_ = obs; }
-  [[nodiscard]] const EllipticOperator& elliptic() const { return op_; }
 
  private:
   const ModelConfig& cfg_;

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "gcm/cg.hpp"
 #include "gcm/elliptic.hpp"
+#include "gcm/elliptic3.hpp"
 #include "gcm/halo.hpp"
 #include "support/rng.hpp"
 #include "tests/gcm/gcm_test_util.hpp"
@@ -31,6 +37,12 @@ void fill_random_interior(const Decomp& dec, const TileGrid& grid,
       }
     }
   }
+}
+
+Array3D<double> field3(const Decomp& dec, int nz) {
+  return Array3D<double>(static_cast<std::size_t>(dec.ext_x()),
+                         static_cast<std::size_t>(dec.ext_y()),
+                         static_cast<std::size_t>(nz), 0.0);
 }
 
 double dot(const Decomp& dec, const Array2D<double>& a,
@@ -178,6 +190,14 @@ TEST(Cg, ZeroRhsConvergesImmediately) {
     const CgResult res = cg_solve(comm, dec, op, b, p, 1e-8, 100);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.iterations, 0);
+
+    // The 3-D operator through the same loop: <b, b> = 0 hits the
+    // tolerance floor, which still returns before the first iteration.
+    const EllipticOperator3 op3(cfg, dec, grid);
+    Array3D<double> b3 = field3(dec, cfg.nz), p3 = field3(dec, cfg.nz);
+    const CgResult res3 = cg_solve(comm, dec, op3, b3, p3, 1e-8, 100);
+    EXPECT_TRUE(res3.converged);
+    EXPECT_EQ(res3.iterations, 0);
   });
 }
 
@@ -237,6 +257,148 @@ TEST(Cg, IterationCountsIdenticalOnAllRanks) {
     EXPECT_DOUBLE_EQ(total, 4.0 * res.iterations);
     (void)ctx;
   });
+}
+
+// ---- golden pins ------------------------------------------------------
+//
+// Every virtual output of a solve -- iteration count, final residual,
+// per-rank flops (which the virtual clock charges) and the solution bits
+// -- pinned exactly for the three solver configurations the model runs:
+// the 2-D line preconditioner, the 2-D Jacobi ablation, and the 3-D
+// non-hydrostatic operator, on 2x2 ranks over ridge topography (which
+// varies the depth and dries the deepest levels under the crest).  A
+// fourth case runs the line preconditioner over continents, whose land
+// breaks restart the line recurrences mid-tile.  A changed flop count or
+// summation order anywhere in the loop shows up here even when the
+// printed benches round it away.
+
+std::string hex(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+template <typename Field>
+std::uint64_t fnv1a(const Field& f) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double v : f) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char c : bytes) {
+      h = (h ^ c) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+struct Pinned {
+  int iterations = 0;
+  double residual = 0.0;
+  bool converged = false;
+  std::vector<double> flops = std::vector<double>(4);         // by rank
+  std::vector<std::uint64_t> digest = std::vector<std::uint64_t>(4);
+};
+
+enum class PinCase { kLine, kJacobi, k3d, kLineOverLand };
+
+// Solves L p = L p_true from p = 0 on every rank; each rank writes only
+// its own slots.
+Pinned solve_pinned(PinCase c) {
+  ModelConfig cfg = small_ocean(2, 2);
+  cfg.topography = ModelConfig::Topography::kRidge;
+  if (c == PinCase::kLineOverLand) {
+    cfg.nx = 32;
+    cfg.ny = 16;
+    cfg.topography = ModelConfig::Topography::kContinents;
+  }
+  cfg.cg_jacobi = c == PinCase::kJacobi;
+  cfg.validate();
+  Pinned out;
+  run_ranks(4, [&](cluster::RankContext&, comm::Comm& comm) {
+    const int rank = comm.group_rank();
+    const auto seed = static_cast<std::uint64_t>(900 + rank);
+    const Decomp dec(cfg, rank);
+    const TileGrid grid(cfg, dec);
+    CgResult res;
+    std::uint64_t digest = 0;
+    if (c == PinCase::k3d) {
+      const EllipticOperator3 op(cfg, dec, grid);
+      SplitMix64 rng(seed);
+      Array3D<double> p_true = field3(dec, cfg.nz);
+      for (int i = dec.halo; i < dec.halo + dec.snx; ++i) {
+        for (int j = dec.halo; j < dec.halo + dec.sny; ++j) {
+          for (int k = 0; k < cfg.nz; ++k) {
+            if (!op.is_wet(i, j, k)) continue;
+            p_true(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
+                   static_cast<std::size_t>(k)) = rng.next_in(-1.0, 1.0);
+          }
+        }
+      }
+      Array3D<double> b = field3(dec, cfg.nz), p = field3(dec, cfg.nz);
+      exchange3d(comm, dec, p_true, 1);
+      op.apply(p_true, b);
+      res = cg_solve(comm, dec, op, b, p, 1e-10, 500);
+      digest = fnv1a(p);
+    } else {
+      const EllipticOperator op(cfg, dec, grid);
+      Array2D<double> p_true = field(dec);
+      fill_random_interior(dec, grid, p_true, seed);
+      Array2D<double> b = field(dec), p = field(dec);
+      exchange2d(comm, dec, p_true, 1);
+      op.apply(p_true, b);
+      res = cg_solve(comm, dec, op, b, p, 1e-10, 2000);
+      digest = fnv1a(p);
+    }
+    out.flops[static_cast<std::size_t>(rank)] = res.flops;
+    out.digest[static_cast<std::size_t>(rank)] = digest;
+    if (rank == 0) {
+      out.iterations = res.iterations;
+      out.residual = res.residual;
+      out.converged = res.converged;
+    }
+  });
+  return out;
+}
+
+void expect_pinned(const Pinned& got, int iterations, double residual,
+                   const std::vector<double>& flops,
+                   const std::vector<std::uint64_t>& digest) {
+  EXPECT_TRUE(got.converged);
+  EXPECT_EQ(got.iterations, iterations);
+  EXPECT_EQ(hex(got.residual), hex(residual));
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(hex(got.flops[r]), hex(flops[r])) << "rank " << r;
+    EXPECT_EQ(got.digest[r], digest[r])
+        << "rank " << r << " digest 0x" << std::hex << got.digest[r];
+  }
+}
+
+TEST(CgPinned, LinePreconditioner2d) {
+  expect_pinned(solve_pinned(PinCase::kLine), 38, 0x1.4420b4a4fb7b2p-18,
+                {0x1.383p+15, 0x1.383p+15, 0x1.383p+15, 0x1.383p+15},
+                {0x1aede3d6b9ce259full, 0xde996f848fb51ee9ull,
+                 0xb4f427460c00390bull, 0xd42897361e9cd9c0ull});
+}
+
+TEST(CgPinned, Jacobi2d) {
+  expect_pinned(solve_pinned(PinCase::kJacobi), 59, 0x1.07cc486695d3bp-17,
+                {0x1.47cp+15, 0x1.47cp+15, 0x1.47cp+15, 0x1.47cp+15},
+                {0x3efaf9c9ef9bb1c9ull, 0xc4b13a13d82b4950ull,
+                 0x4cfe5b53e91895faull, 0x5c7a9d7924595325ull});
+}
+
+TEST(CgPinned, LinePreconditionerOverLand2d) {
+  expect_pinned(solve_pinned(PinCase::kLineOverLand), 67, 0x1.43ee1652f853cp-16,
+                {0x1.d31cp+17, 0x1.d31cp+17, 0x1.d31cp+17, 0x1.d31cp+17},
+                {0xebe5736353b8703aull, 0xfe062f80543461e8ull,
+                 0x841cc9f33ebac71dull, 0x8c56ead9deeb6475ull});
+}
+
+TEST(CgPinned, NonHydrostatic3d) {
+  expect_pinned(solve_pinned(PinCase::k3d), 27, 0x1.0352dd901c8b6p+2,
+                {0x1.91ap+16, 0x1.91ap+16, 0x1.91ap+16, 0x1.91ap+16},
+                {0x60ccffce5b3f9c40ull, 0xd6fd295ef311a66eull,
+                 0x44500848da7518a0ull, 0x1b69d7bfd3505766ull});
 }
 
 }  // namespace

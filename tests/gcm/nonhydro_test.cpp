@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "gcm/cg3.hpp"
+#include "gcm/cg.hpp"
 #include "gcm/elliptic3.hpp"
 #include "gcm/halo.hpp"
 #include "gcm/kernels.hpp"
@@ -102,7 +102,7 @@ TEST(Cg3, SolvesManufacturedProblem) {
     op.apply(p_true, b);
 
     Array3D<double> p = field3(dec, cfg.nz);
-    const Cg3Result res = cg3_solve(comm, dec, op, b, p, 1e-10, 3000);
+    const CgResult res = cg_solve(comm, dec, op, b, p, 1e-10, 3000);
     EXPECT_TRUE(res.converged);
 
     // Compare gradients (the constant offset is unconstrained): check

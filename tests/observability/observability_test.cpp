@@ -218,6 +218,28 @@ TEST(Observability, SolverSpansCountIterations) {
   EXPECT_GT(ex.bytes, 0);
 }
 
+TEST(Observability, NonHydrostaticSolverSpansAddUp) {
+  // Both elliptic solves of a non-hydrostatic step run the one PCG loop,
+  // so its per-iteration spans count the 2-D and the 3-D iterations --
+  // the total the step's "ds" span already reports.
+  gcm::ModelConfig cfg = gcm::testing::small_ocean(2, 2);
+  cfg.nonhydrostatic = true;
+  cfg.topography = gcm::ModelConfig::Topography::kRidge;
+  cfg.validate();
+  gcm::testing::run_ranks(4, [&](RankContext& ctx, comm::Comm& comm) {
+    Tracer tracer;
+    gcm::Model m(cfg, comm);
+    m.initialize();
+    ctx.set_tracer(&tracer);
+    const gcm::StepStats st = m.step();
+    ctx.set_tracer(nullptr);
+    EXPECT_GT(st.cg3_iterations, 0);
+    const double iters = st.cg_iterations + st.cg3_iterations;
+    EXPECT_DOUBLE_EQ(tracer.counters("ds_cg_iter").cg_iterations, iters);
+    EXPECT_DOUBLE_EQ(tracer.counters("ds").cg_iterations, iters);
+  });
+}
+
 // ---- metrics registry ----------------------------------------------------
 
 TEST(Metrics, RegistryBasics) {
